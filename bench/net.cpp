@@ -13,9 +13,9 @@
 //
 // Counters: items_per_second is completed requests/sec (the acceptance
 // metric tools/run_bench.sh guards with BENCH_NET_MIN_RPS), p50_ms/p99_ms
-// are client-observed round-trip latencies. At low concurrency the p50 sits
-// near the micro-batch hold (max_delay) by construction — that is the
-// latency the batcher spends waiting for company, the documented tradeoff.
+// are client-observed round-trip latencies. The batcher is work-conserving,
+// so at c=1 the p50 is one round trip plus one score pass; at higher
+// concurrency the requests that arrive during a pass form the next batch.
 //
 // BM_NetPing measures the protocol + event-loop floor (health requests
 // bypass the batcher), isolating framing/epoll overhead from scoring.
@@ -75,11 +75,9 @@ struct NetBenchFixture {
     pipeline = std::move(fitted);
     scorer = std::make_unique<serve::BatchScorer>(pipeline);
     net::ServerConfig config;
-    // Batches fire on fill rather than on the clock once the closed loop is
-    // warm: 32 < the 64-connection sweep, so the window only pays out at
-    // low concurrency (where it is the documented micro-batching cost).
+    // Caps one pass below the 64-connection sweep, so at c=64 the queue
+    // holds the next batch while the current one scores.
     config.batcher.max_batch_requests = 32;
-    config.batcher.max_delay_ms = 1.0;
     server = std::make_unique<net::Server>(*scorer, dataset, config);
     loop = std::thread([this] { server->run(); });
   }

@@ -1,7 +1,10 @@
 #include "core/timing_predictor.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -19,12 +22,26 @@ namespace {
 constexpr double kMuFloor = 1e-6;
 constexpr double kOmegaFloor = 1e-4;
 
-// (1 − e^{−ωΔ}) / ω, stable for small ωΔ.
+// (1 − e^{−ωΔ}) / ω given x = ωΔ and e = e^{−x}, stable for small ωΔ.
+double survival_integral(double omega, double delta, double x, double e) {
+  if (x < 1e-8) return delta * (1.0 - 0.5 * x);
+  return (1.0 - e) / omega;
+}
+
 double survival_integral(double omega, double delta) {
   const double x = omega * delta;
-  if (x < 1e-8) return delta * (1.0 - 0.5 * x);
-  return (1.0 - std::exp(-x)) / omega;
+  return survival_integral(omega, delta, x, std::exp(-x));
 }
+
+// Composite Simpson weights 1, 4, 2, 4, …, 2, 4, 1.
+constexpr auto kSimpsonWeights = [] {
+  std::array<double, SimpsonDelayGrid::kSegments + 1> w{};
+  for (int i = 0; i <= SimpsonDelayGrid::kSegments; ++i) {
+    w[i] = (i == 0 || i == SimpsonDelayGrid::kSegments) ? 1.0
+                                                        : (i % 2 == 1 ? 4.0 : 2.0);
+  }
+  return w;
+}();
 
 // d/dω of survival_integral.
 double survival_integral_domega(double omega, double delta) {
@@ -258,10 +275,12 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
   calibration_slope_ = 1.0;
   if (config_.calibrate) {
     std::vector<double> raw, observed;
+    // Rows of one thread share Δ, so constant ω builds one grid per thread.
+    SimpsonDelayGrid grid;
     if (!batched) {
       for (const auto& thread : scaled) {
         for (const auto& [x, delay] : thread.answers) {
-          raw.push_back(raw_estimate(mu_of(x), omega_of(x), thread.delta));
+          raw.push_back(raw_estimate(mu_of(x), omega_of(x), thread.delta, grid));
           observed.push_back(delay);
         }
       }
@@ -289,7 +308,7 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
         const double omega_r =
             g_net_ ? g_omega(r, 0) + kOmegaFloor : constant_omega;
         raw.push_back(
-            raw_estimate(f_mu(r, 0) + kMuFloor, omega_r, deltas[r]));
+            raw_estimate(f_mu(r, 0) + kMuFloor, omega_r, deltas[r], grid));
       }
     }
     const double n = static_cast<double>(raw.size());
@@ -343,30 +362,51 @@ double TimingPredictor::mean_log_likelihood(
   return total / static_cast<double>(threads.size());
 }
 
+void SimpsonDelayGrid::build(double omega, double delta) {
+  if (built_ && std::bit_cast<std::uint64_t>(omega) ==
+                    std::bit_cast<std::uint64_t>(omega_) &&
+      std::bit_cast<std::uint64_t>(delta) ==
+          std::bit_cast<std::uint64_t>(delta_)) {
+    return;
+  }
+  omega_ = omega;
+  delta_ = delta;
+  built_ = true;
+  const double h = delta / kSegments;
+  for (int i = 0; i <= kSegments; ++i) {
+    const double tau = h * i;
+    const double x = omega * tau;
+    const double e = std::exp(-x);
+    decay_[i] = e;
+    survival_[i] = survival_integral(omega, tau, x, e);
+    weight_tau_[i] = kSimpsonWeights[i] * tau;
+  }
+}
+
+double SimpsonDelayGrid::eval(double mu) const {
+  double numerator = 0.0, denominator = 0.0;
+  for (int i = 0; i <= kSegments; ++i) {
+    const double lambda = mu * decay_[i];
+    const double big_lambda = mu * survival_[i];
+    const double density = lambda * std::exp(-big_lambda);
+    numerator += weight_tau_[i] * density;
+    denominator += kSimpsonWeights[i] * density;
+  }
+  if (denominator <= 1e-300) return delta_;  // no mass: predict the horizon
+  return numerator / denominator;
+}
+
 double TimingPredictor::raw_estimate(double mu, double omega,
-                                     double open_duration) const {
-  const double delta = open_duration;
+                                     double open_duration,
+                                     SimpsonDelayGrid& grid) const {
   if (config_.expectation == TimingPredictorConfig::Expectation::PaperUnnormalized) {
     // r̂ = μ/ω² (1 − e^{−ωΔ}(1 + ωΔ)), the paper's E[t] − t(p_{q,0}).
-    const double x = omega * delta;
+    const double x = omega * open_duration;
     const double tail = x > 500.0 ? 0.0 : std::exp(-x) * (1.0 + x);
     return mu / (omega * omega) * (1.0 - tail);
   }
-  // E[τ | first answer in [0, Δ]] with f(τ) = λ(τ) e^{−Λ(τ)} by Simpson.
-  const int segments = 200;  // even
-  const double h = delta / segments;
-  double numerator = 0.0, denominator = 0.0;
-  for (int i = 0; i <= segments; ++i) {
-    const double tau = h * i;
-    const double lambda = mu * std::exp(-omega * tau);
-    const double big_lambda = mu * survival_integral(omega, tau);
-    const double density = lambda * std::exp(-big_lambda);
-    const double w = (i == 0 || i == segments) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
-    numerator += w * tau * density;
-    denominator += w * density;
-  }
-  if (denominator <= 1e-300) return delta;  // no mass: predict the horizon
-  return numerator / denominator;
+  grid.build(omega, open_duration);
+  return grid.eval(mu);
 }
 
 double TimingPredictor::predict_delay(std::span<const double> features,
@@ -378,7 +418,8 @@ double TimingPredictor::predict_delay(std::span<const double> features,
   const double omega =
       g_net_ ? g_net_->forward(x)[0] + kOmegaFloor
              : ml::softplus(omega_rho_) + kOmegaFloor;
-  const double raw = raw_estimate(mu, omega, open_duration);
+  SimpsonDelayGrid grid;
+  const double raw = raw_estimate(mu, omega, open_duration, grid);
   return std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
 }
 
@@ -406,9 +447,11 @@ void TimingPredictor::predict_delay_batch(ml::Tensor<const double> rows,
   f_net_->forward_batch_into(scaled, mu);
   if (g_net_) g_net_->forward_batch_into(scaled, omega);
   const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
+  SimpsonDelayGrid grid;  // constant ω: one grid for every row
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     const double omega_r = g_net_ ? omega(r, 0) + kOmegaFloor : constant_omega;
-    const double raw = raw_estimate(mu(r, 0) + kMuFloor, omega_r, open_duration);
+    const double raw =
+        raw_estimate(mu(r, 0) + kMuFloor, omega_r, open_duration, grid);
     out[r] = std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
   }
 }

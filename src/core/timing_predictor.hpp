@@ -57,6 +57,32 @@ struct TimingPredictorConfig {
   bool calibrate = true;  ///< affine fit of r̂ → r on the training answers
 };
 
+/// The ConditionalFirstEvent estimator E[τ | first answer in [0, Δ]] with
+/// f(τ) = λ(τ) e^{−Λ(τ)}, as a 201-point Simpson sum. Everything except the
+/// final e^{−Λ} depends on (ω, Δ) only, so build() computes e^{−ωτ_i} and the
+/// survival integral once and eval(μ) reuses them for every row sharing that
+/// (ω, Δ) — one exp per point per row. eval() repeats the per-point
+/// operations in their original order, so r̂ is bit-identical to evaluating
+/// every point from scratch.
+class SimpsonDelayGrid {
+ public:
+  static constexpr int kSegments = 200;  // even
+
+  /// Fills the grid for decay ω over the horizon [0, Δ] unless it already
+  /// holds this (ω, Δ), bit for bit.
+  void build(double omega, double delta);
+  /// r̂ for excitation μ; Δ when the density carries no mass.
+  double eval(double mu) const;
+
+ private:
+  double omega_ = 0.0;
+  double delta_ = 0.0;
+  bool built_ = false;
+  double decay_[kSegments + 1] = {};       ///< e^{−ωτ_i}
+  double survival_[kSegments + 1] = {};    ///< (1 − e^{−ωτ_i}) / ω
+  double weight_tau_[kSegments + 1] = {};  ///< Simpson weight w_i · τ_i
+};
+
 /// One training thread: its answers plus a weighted survival sample.
 struct TimingThread {
   double open_duration = 0.0;  ///< Δ_q = T − t(p_{q,0}) in hours
@@ -126,7 +152,10 @@ class TimingPredictor {
   static TimingPredictor decode(artifact::Decoder& dec);
 
  private:
-  double raw_estimate(double mu, double omega, double open_duration) const;
+  /// Uncalibrated r̂. `grid` carries the Simpson grid across calls, so rows
+  /// sharing (ω, Δ) build it once.
+  double raw_estimate(double mu, double omega, double open_duration,
+                      SimpsonDelayGrid& grid) const;
 
   TimingPredictorConfig config_;
   ml::StandardScaler scaler_;

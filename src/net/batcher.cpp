@@ -50,7 +50,6 @@ MicroBatcher::MicroBatcher(serve::BatchScorer& scorer,
       on_complete_(std::move(on_complete)) {
   FORUMCAST_CHECK(config_.max_batch_requests >= 1);
   FORUMCAST_CHECK(config_.max_queue >= 1);
-  FORUMCAST_CHECK(config_.max_delay_ms >= 0.0);
   const std::size_t threads = std::max<std::size_t>(1, config_.threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -88,23 +87,14 @@ void MicroBatcher::stop() {
 }
 
 void MicroBatcher::worker_loop() {
-  const auto max_delay = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(config_.max_delay_ms));
   for (;;) {
     std::vector<Item> batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and fully drained
-      // Micro-batching: hold the batch open until it fills or the oldest
-      // request has waited max_delay. When stopping, drain immediately —
-      // nothing new is coming.
-      const auto deadline = queue_.front().enqueued + max_delay;
-      ready_.wait_until(lock, deadline, [this] {
-        return stopping_ || queue_.size() >= config_.max_batch_requests;
-      });
-      if (queue_.empty()) return;
+      // Work-conserving: take whatever is queued now. Requests that arrive
+      // while this batch scores form the next one.
       const std::size_t take =
           std::min(queue_.size(), config_.max_batch_requests);
       batch.assign(std::make_move_iterator(queue_.begin()),

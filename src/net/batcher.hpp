@@ -4,8 +4,10 @@
 // The serving daemon's throughput story: single-pair scoring costs a full
 // feature assembly + three scalar model forwards, while BatchScorer
 // amortizes both across a block of rows. Wire requests arrive a few
-// candidates at a time, so the batcher holds each request for at most
-// `max_delay_ms`, groups everything pending for the same question into one
+// candidates at a time. The batcher is work-conserving: an idle worker takes
+// whatever is queued (up to `max_batch_requests`) at once, so a lone request
+// never waits for company and requests arriving during a pass form the next
+// batch. It groups everything pending for the same question into one
 // score() call (the cached question block and the GEMM tiles are shared),
 // and answers every request from its slice of the batch. Scores are
 // bit-identical to an unbatched call — coalescing, like batching itself,
@@ -40,10 +42,6 @@ struct BatcherConfig {
   /// Most requests drained per wake. Bounds the rows one score() pass
   /// assembles and the tail latency a drain adds to its last request.
   std::size_t max_batch_requests = 256;
-  /// Longest a request may wait for company before the batch is forced out.
-  /// The admission-to-completion p99 stays within this bound plus one
-  /// batch's scoring time whenever the queue is admitting.
-  double max_delay_ms = 1.0;
   /// Admission bound on queued requests; try_submit() refuses beyond it.
   std::size_t max_queue = 4096;
   /// Scoring worker threads.

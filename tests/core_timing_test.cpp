@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/timing_predictor.hpp"
+#include "ml/matrix.hpp"
 #include "eval/metrics.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -126,15 +128,91 @@ TEST(TimingPredictor, CalibrationImprovesScale) {
   EXPECT_NEAR(predicted, observed, 0.5 * observed);
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 TEST(TimingPredictor, ZeroOpenDurationFallsBackToTrainingMean) {
+  // Every training thread is open for 200 h, so the mean open duration is
+  // exactly 200 and Δ ≤ 0 must reproduce Δ = 200 bit for bit, scalar and
+  // batch, learned and constant ω.
   const auto threads = synthetic_threads(100, 2.0, 10.0, 17);
-  TimingPredictorConfig config;
-  config.epochs = 15;
-  TimingPredictor predictor(config);
-  predictor.fit(threads);
-  const double delay = predictor.predict_delay(std::vector<double>{1.0, 1.0}, 0.0);
-  EXPECT_TRUE(std::isfinite(delay));
-  EXPECT_GE(delay, 0.0);
+  for (const bool learn_omega : {true, false}) {
+    TimingPredictorConfig config;
+    config.epochs = 15;
+    config.learn_omega = learn_omega;
+    TimingPredictor predictor(config);
+    predictor.fit(threads);
+    const std::vector<double> x = {1.0, 1.0};
+    const double at_mean = predictor.predict_delay(x, 200.0);
+    EXPECT_TRUE(std::isfinite(at_mean));
+    EXPECT_GE(at_mean, 0.0);
+    EXPECT_TRUE(same_bits(predictor.predict_delay(x, 0.0), at_mean));
+    EXPECT_TRUE(same_bits(predictor.predict_delay(x, -3.0), at_mean));
+    ml::Matrix rows(2, 2);
+    rows(0, 0) = rows(0, 1) = rows(1, 0) = rows(1, 1) = 1.0;
+    std::vector<double> batch(2);
+    predictor.predict_delay_batch(rows, 0.0, batch);
+    EXPECT_TRUE(same_bits(batch[0], at_mean));
+    EXPECT_TRUE(same_bits(batch[1], at_mean));
+  }
+}
+
+// The per-point Simpson loop SimpsonDelayGrid replaced, kept as the
+// reference: every point recomputes e^{−ωτ} for λ and again inside the
+// survival integral, then e^{−Λ}.
+double reference_survival_integral(double omega, double delta) {
+  const double x = omega * delta;
+  if (x < 1e-8) return delta * (1.0 - 0.5 * x);
+  return (1.0 - std::exp(-x)) / omega;
+}
+
+double reference_conditional_delay(double mu, double omega, double delta) {
+  const int segments = 200;
+  const double h = delta / segments;
+  double numerator = 0.0, denominator = 0.0;
+  for (int i = 0; i <= segments; ++i) {
+    const double tau = h * i;
+    const double lambda = mu * std::exp(-omega * tau);
+    const double big_lambda = mu * reference_survival_integral(omega, tau);
+    const double density = lambda * std::exp(-big_lambda);
+    const double w = (i == 0 || i == segments) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
+    numerator += w * tau * density;
+    denominator += w * density;
+  }
+  if (denominator <= 1e-300) return delta;
+  return numerator / denominator;
+}
+
+TEST(SimpsonDelayGrid, BitIdenticalToPerPointLoop) {
+  // Log sweeps over μ, ω and Δ. ω down to 1e-12 keeps ωτ < 1e-8 at every
+  // point (the series branch), ω near 1e-9 mixes both branches, μ down to
+  // 1e-310 starves the density below 1e-300 (the horizon fallback), and
+  // Δ = 0 collapses the grid. One grid serves the whole sweep, so every
+  // (ω, Δ) change must rebuild it.
+  SimpsonDelayGrid grid;
+  int series_only = 0, fallbacks = 0, checked = 0;
+  for (double log_omega = -12.0; log_omega <= 3.0; log_omega += 0.5) {
+    const double omega = std::pow(10.0, log_omega);
+    for (const double delta :
+         {0.0, 1e-3, 0.37, 1.0, 24.0, 200.0, 1500.0, 1e4}) {
+      grid.build(omega, delta);
+      if (omega * delta < 1e-8) ++series_only;
+      for (double log_mu = -310.0; log_mu <= 6.0; log_mu += 7.0) {
+        const double mu = std::pow(10.0, log_mu);
+        const double expected = reference_conditional_delay(mu, omega, delta);
+        const double actual = grid.eval(mu);
+        ASSERT_TRUE(same_bits(actual, expected))
+            << "mu=" << mu << " omega=" << omega << " delta=" << delta
+            << " got " << actual << " want " << expected;
+        if (delta > 0.0 && expected == delta) ++fallbacks;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(series_only, 0);
+  EXPECT_GT(fallbacks, 0);
+  EXPECT_GT(checked, 10000);
 }
 
 TEST(TimingPredictor, DeterministicForSeed) {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,6 +119,54 @@ class ServerHarness {
   std::unique_ptr<Server> server_;
   std::thread loop_;
 };
+
+/// Stalls every batcher worker that takes the read guard until open() — the
+/// way a writer holding the live-state lock stalls scoring. With the worker
+/// parked inside a batch, the queue fills deterministically.
+class WorkerGate {
+ public:
+  std::function<std::shared_ptr<void>()> hook() {
+    return [this]() -> std::shared_ptr<void> {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++entered_;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return open_; });
+      return nullptr;
+    };
+  }
+
+  /// Blocks until a worker is parked at the gate.
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return entered_ > 0; });
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+MicroBatcher::Item score_item(std::uint64_t conn_id, std::uint64_t request_id,
+                              forum::QuestionId question,
+                              std::vector<forum::UserId> users) {
+  MicroBatcher::Item item;
+  item.conn_id = conn_id;
+  item.request.kind = MessageKind::kScoreRequest;
+  item.request.request_id = request_id;
+  item.request.question = question;
+  item.request.users = std::move(users);
+  return item;
+}
 
 std::vector<forum::UserId> user_range(forum::UserId count) {
   std::vector<forum::UserId> users(count);
@@ -234,14 +283,15 @@ TEST(NetServer, BadRequestsGetTypedErrors) {
 }
 
 TEST(NetServer, BackpressurePipelinedPastQueueCap) {
-  // Tiny queue, long hold: the batcher admits at most 4 while the 200 ms
-  // micro-batch window keeps the worker from draining, so a burst of 50
+  // Tiny queue, stalled worker: the worker parks at the gate inside its
+  // first batch, so the queue admits at most 4 more and a burst of 50
   // pipelined requests must split into some accepted and some refused with
   // kQueueFull — and every single one gets exactly one response.
+  WorkerGate gate;
   BatcherConfig batcher;
   batcher.max_queue = 4;
   batcher.max_batch_requests = 64;
-  batcher.max_delay_ms = 200.0;
+  batcher.read_guard = gate.hook();
   ServerHarness harness(batcher);
   Client client(harness.port());
 
@@ -257,9 +307,16 @@ TEST(NetServer, BackpressurePipelinedPastQueueCap) {
   }
   client.send_raw(burst);
 
+  // Nothing is scored while the gate is shut, so the first frame back is a
+  // refusal; only then let the worker go.
+  const Message first = client.read_frame();
+  EXPECT_EQ(first.kind, MessageKind::kErrorResponse);
+  EXPECT_EQ(first.error, ErrorCode::kQueueFull);
+  gate.open();
+
   int scored = 0;
-  int rejected = 0;
-  for (int i = 0; i < kBurst; ++i) {
+  int rejected = 1;
+  for (int i = 1; i < kBurst; ++i) {
     const Message response = client.read_frame();
     if (response.kind == MessageKind::kScoreResponse) {
       EXPECT_EQ(response.predictions.size(), 2u);
@@ -476,9 +533,10 @@ TEST(NetServer, ShutdownDrainsPipelinedRequests) {
 
 #if FORUMCAST_OBS_ENABLED
 TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
-  // Submit 8 same-question requests directly while the worker is held by
-  // the micro-batch window: they must come out of a single BatchScorer
-  // pass (one net.score_batches increment), each with its own slice.
+  // Submit 8 same-question requests directly while the worker is stalled on
+  // an earlier request: once it is free they must come out of a single
+  // BatchScorer pass (one net.score_batches increment besides the stalled
+  // request's own), each with its own slice.
   NetFixture& fixture = NetFixture::instance();
   serve::BatchScorer scorer(fixture.pipeline);
 
@@ -489,29 +547,30 @@ TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
   std::condition_variable done;
   std::vector<Message> responses;
 
+  WorkerGate gate;
   BatcherConfig config;
-  config.max_delay_ms = 100.0;
   config.max_batch_requests = 8;
+  config.read_guard = gate.hook();
   MicroBatcher batcher(
       scorer, fixture.dataset, config,
-      [&](std::uint64_t, std::string frame) {
+      [&](std::uint64_t conn_id, std::string frame) {
         const DecodeFrameResult decoded = decode_frame(frame);
         ASSERT_FALSE(decoded.corrupt);
+        if (conn_id == 0) return;  // the request that stalled the worker
         std::lock_guard<std::mutex> lock(mutex);
         responses.push_back(decoded.message);
         done.notify_one();
       });
 
+  ASSERT_TRUE(batcher.try_submit(score_item(0, 100, 3, {0, 1})));
+  gate.wait_entered();
   for (int i = 0; i < 8; ++i) {
-    MicroBatcher::Item item;
-    item.conn_id = 1;
-    item.request.kind = MessageKind::kScoreRequest;
-    item.request.request_id = static_cast<std::uint64_t>(i + 1);
-    item.request.question = 4;
-    item.request.users = {static_cast<forum::UserId>(i),
-                          static_cast<forum::UserId>(i + 1)};
-    ASSERT_TRUE(batcher.try_submit(std::move(item)));
+    const auto u = static_cast<forum::UserId>(i);
+    ASSERT_TRUE(batcher.try_submit(
+        score_item(1, static_cast<std::uint64_t>(i + 1), 4,
+                   {u, static_cast<forum::UserId>(u + 1)})));
   }
+  gate.open();
   {
     std::unique_lock<std::mutex> lock(mutex);
     done.wait(lock, [&] { return responses.size() == 8; });
@@ -520,7 +579,7 @@ TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
 
   const std::uint64_t batches_after =
       obs::MetricsRegistry::global().counter("net.score_batches").value();
-  EXPECT_EQ(batches_after - batches_before, 1u);
+  EXPECT_EQ(batches_after - batches_before, 2u);
 
   for (const Message& response : responses) {
     ASSERT_EQ(response.kind, MessageKind::kScoreResponse);
@@ -539,23 +598,18 @@ TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
 TEST(NetBatcher, QueueBoundRefusesBeyondCapacity) {
   NetFixture& fixture = NetFixture::instance();
   serve::BatchScorer scorer(fixture.pipeline);
+  WorkerGate gate;  // stall the worker so the queue stays full
   BatcherConfig config;
   config.max_queue = 2;
-  config.max_delay_ms = 200.0;  // hold the worker so the queue stays full
   config.max_batch_requests = 64;
+  config.read_guard = gate.hook();
   std::atomic<int> completions{0};
   MicroBatcher batcher(scorer, fixture.dataset, config,
                        [&](std::uint64_t, std::string) {
                          completions.fetch_add(1);
                        });
   auto make_item = [](int i) {
-    MicroBatcher::Item item;
-    item.conn_id = 1;
-    item.request.kind = MessageKind::kScoreRequest;
-    item.request.request_id = static_cast<std::uint64_t>(i + 1);
-    item.request.question = 0;
-    item.request.users = {0};
-    return item;
+    return score_item(1, static_cast<std::uint64_t>(i + 1), 0, {0});
   };
   int admitted = 0;
   int refused = 0;
@@ -568,6 +622,7 @@ TEST(NetBatcher, QueueBoundRefusesBeyondCapacity) {
   }
   EXPECT_GE(refused, 1);
   EXPECT_GE(admitted, 2);
+  gate.open();
   batcher.stop();  // drains every admitted item
   EXPECT_EQ(completions.load(), admitted);
   // After stop, nothing is admitted.
@@ -577,31 +632,28 @@ TEST(NetBatcher, QueueBoundRefusesBeyondCapacity) {
 TEST(NetBatcher, StopDrainsEveryAdmittedRequest) {
   NetFixture& fixture = NetFixture::instance();
   serve::BatchScorer scorer(fixture.pipeline);
+  WorkerGate gate;
   BatcherConfig config;
-  config.max_delay_ms = 500.0;  // stop() must not wait out the window
+  config.read_guard = gate.hook();
   std::atomic<int> completions{0};
   MicroBatcher batcher(scorer, fixture.dataset, config,
                        [&](std::uint64_t, std::string) {
                          completions.fetch_add(1);
                        });
+  int admitted = 0;
   for (int i = 0; i < 12; ++i) {
-    MicroBatcher::Item item;
-    item.conn_id = 1;
-    item.request.kind = MessageKind::kScoreRequest;
-    item.request.request_id = static_cast<std::uint64_t>(i + 1);
-    item.request.question = 1;
-    item.request.users = {0, 1};
-    ASSERT_TRUE(batcher.try_submit(std::move(item)));
+    ASSERT_TRUE(batcher.try_submit(
+        score_item(1, static_cast<std::uint64_t>(i + 1), 1, {0, 1})));
+    ++admitted;
   }
-  const auto start = std::chrono::steady_clock::now();
-  batcher.stop();
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_EQ(completions.load(), 12);
-  // The drain cuts the micro-batch hold short instead of sleeping it out.
-  EXPECT_LT(elapsed_ms, 450.0);
+  gate.wait_entered();
+  // stop() refuses admissions before it joins the stalled worker, so once a
+  // probe is refused the stop is in progress with requests still queued.
+  std::thread stopper([&] { batcher.stop(); });
+  while (batcher.try_submit(score_item(2, 0, 1, {0}))) ++admitted;
+  gate.open();
+  stopper.join();
+  EXPECT_EQ(completions.load(), admitted);
 }
 
 }  // namespace

@@ -225,6 +225,34 @@ TEST(BatchScorer, RefitInvalidatesCache) {
   EXPECT_GE(scorer.cache_stats().blocks_dropped, users.size() + 1);
 }
 
+TEST(BatchScorer, ConstantOmegaBitIdenticalToScalarPredict) {
+  // Constant ω (the paper's best Stack Overflow variant): the timing head
+  // shares one Simpson grid across every row of a block, where the scalar
+  // path builds its own per pair.
+  forum::GeneratorConfig gen;
+  gen.num_users = 120;
+  gen.num_questions = 120;
+  gen.seed = 77;
+  const auto dataset = forum::generate_forum(gen).dataset.preprocessed();
+  core::PipelineConfig config = fast_pipeline_config();
+  config.timing.learn_omega = false;
+  core::ForecastPipeline pipeline(config);
+  pipeline.fit(dataset, dataset.questions_in_days(1, 20));
+  BatchScorer scorer(pipeline, {.block_rows = 32});
+  const auto users = all_users(dataset);
+  for (const auto q : sample_questions(dataset, 3, 5)) {
+    const auto batch = scorer.score(q, users);
+    ASSERT_EQ(batch.size(), users.size());
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      const auto scalar = pipeline.predict(users[i], q);
+      EXPECT_EQ(batch[i].answer_probability, scalar.answer_probability);
+      EXPECT_EQ(batch[i].votes, scalar.votes);
+      EXPECT_EQ(batch[i].delay_hours, scalar.delay_hours)
+          << "u=" << users[i] << " q=" << q;
+    }
+  }
+}
+
 TEST(BatchScorer, RecommenderBatchPathMatchesScalarPath) {
   auto& fixture = ServeFixture::instance();
   const auto users = all_users(fixture.dataset);

@@ -24,6 +24,7 @@
 #include "core/pipeline.hpp"
 #include "features/extractor.hpp"
 #include "forum/generator.hpp"
+#include "obs/obs.hpp"
 #include "serve/batch_scorer.hpp"
 #include "stream/live_state.hpp"
 #include "stream/split.hpp"
@@ -240,6 +241,26 @@ TEST(StreamLiveSampled, ReplayMatchesFreshSampledBuild) {
     }
   }
 }
+
+#if FORUMCAST_OBS_ENABLED
+TEST(StreamLive, CentralityRefreshIsTimedWithTracingOff) {
+  obs::TraceCollector::global().set_enabled(false);
+  const auto refresh_histogram = [] {
+    for (const auto& [name, histogram] :
+         obs::MetricsRegistry::global().snapshot().histograms) {
+      if (name == "features.centrality_refresh_ms") return histogram;
+    }
+    return obs::Histogram::Snapshot{};
+  };
+  const obs::Histogram::Snapshot before = refresh_histogram();
+  LiveCase c;
+  LiveState live(c.pipeline, c.base);
+  ingest_in_chunks(live, c.events, 64);
+  const obs::Histogram::Snapshot after = refresh_histogram();
+  ASSERT_GT(after.total_count, before.total_count);
+  EXPECT_GT(after.sum, before.sum);
+}
+#endif  // FORUMCAST_OBS_ENABLED
 
 TEST(StreamLive, FineGrainedInvalidationMatchesColdCache) {
   LiveCase c;

@@ -679,7 +679,6 @@ net::ServerConfig daemon_server_config(const Args& args) {
   config.port = static_cast<std::uint16_t>(args.get_int("listen", 0));
   config.batcher.max_batch_requests =
       static_cast<std::size_t>(args.get_int("max-batch", 256));
-  config.batcher.max_delay_ms = args.get_double("max-delay-ms", 1.0);
   config.batcher.max_queue =
       static_cast<std::size_t>(args.get_int("queue-cap", 4096));
   config.batcher.threads =
@@ -1156,7 +1155,6 @@ void usage() {
                "                                127.0.0.1:PORT (0 = ephemeral)\n"
                "           [--port-file FILE]   publish the bound port\n"
                "           [--max-batch N]      micro-batch size cap (256)\n"
-               "           [--max-delay-ms X]   micro-batch hold time (1.0)\n"
                "           [--queue-cap N]      admission queue bound (4096)\n"
                "           [--net-threads N]    scoring workers (1)\n"
                "  predict  --data posts.csv --question Q [--history-days D] [--top K]\n"

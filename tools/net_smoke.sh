@@ -47,7 +47,7 @@ FIT_DIGEST=$(extract_digest fit.log)
 
 echo "=== start the daemon (ephemeral port) ==="
 "$CLI" serve --data posts.csv --model-in model.fcm \
-  --listen 0 --port-file port.txt --max-delay-ms 0.5 > serve.log 2>&1 &
+  --listen 0 --port-file port.txt > serve.log 2>&1 &
 SERVE_PID=$!
 
 for _ in $(seq 1 600); do

@@ -77,7 +77,7 @@ mkdir -p pdir
 "$CLI" ingest --data base.csv --ingest events.jsonl --wal-dir pdir \
   --listen 0 --port-file pport.txt --replisten 0 --repl-port-file rport.txt \
   --chunk 16 --feed-delay-ms 100 --lda-iterations 5 --seed 7 \
-  --max-delay-ms 0.5 > primary.log 2>&1 &
+  > primary.log 2>&1 &
 PRIMARY_PID=$!
 PIDS+=("$PRIMARY_PID")
 wait_file pport.txt "$PRIMARY_PID" primary.log
@@ -89,12 +89,12 @@ echo "primary serving on $PPORT, replicating on $RPORT (pid $PRIMARY_PID)"
 echo "=== start two followers (wire bootstrap) ==="
 "$CLI" replica --data base.csv --primary-port "$RPORT" --wal-dir f1dir \
   --listen 0 --port-file f1port.txt --heartbeat-ms 50 \
-  --max-delay-ms 0.5 > follower1.log 2>&1 &
+  > follower1.log 2>&1 &
 F1_PID=$!
 PIDS+=("$F1_PID")
 "$CLI" replica --data base.csv --primary-port "$RPORT" --wal-dir f2dir \
   --listen 0 --port-file f2port.txt --heartbeat-ms 50 \
-  --max-delay-ms 0.5 > follower2.log 2>&1 &
+  > follower2.log 2>&1 &
 F2_PID=$!
 PIDS+=("$F2_PID")
 wait_file f1port.txt "$F1_PID" follower1.log
@@ -109,7 +109,7 @@ wait "$F2_PID" 2>/dev/null || true
 rm -f f2port.txt
 "$CLI" replica --data base.csv --primary-port "$RPORT" --wal-dir f2dir \
   --listen 0 --port-file f2port.txt --heartbeat-ms 50 \
-  --max-delay-ms 0.5 > follower2b.log 2>&1 &
+  > follower2b.log 2>&1 &
 F2_PID=$!
 PIDS+=("$F2_PID")
 wait_file f2port.txt "$F2_PID" follower2b.log
