@@ -149,10 +149,11 @@ void BM_BatchForwards(benchmark::State& state) {
   std::vector<double> answer(users.size()), votes(users.size()),
       delay(users.size());
   for (auto _ : state) {
-    fixture.pipeline.answer_predictor().predict_probability_batch(x, answer);
-    fixture.pipeline.vote_predictor().predict_batch(x, votes);
-    fixture.pipeline.timing_predictor().predict_delay_batch(x, open_duration,
-                                                            delay);
+    fixture.pipeline.answer_predictor().predict_probability_batch(x.view(),
+                                                                  answer);
+    fixture.pipeline.vote_predictor().predict_batch(x.view(), votes);
+    fixture.pipeline.timing_predictor().predict_delay_batch(
+        x.view(), open_duration, delay);
     benchmark::DoNotOptimize(delay.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,8 +1,5 @@
 #include "core/answer_predictor.hpp"
 
-#include <istream>
-#include <ostream>
-
 #include "ml/serialize.hpp"
 #include "ml/workspace.hpp"
 #include "obs/obs.hpp"
@@ -30,11 +27,6 @@ double AnswerPredictor::predict_probability(std::span<const double> features) co
   return model_.predict_probability(scaler_.transform(features));
 }
 
-void AnswerPredictor::predict_probability_batch(const ml::Matrix& rows,
-                                                std::span<double> out) const {
-  predict_probability_batch(rows.view(), out);
-}
-
 void AnswerPredictor::predict_probability_batch(ml::Tensor<const double> rows,
                                                 std::span<double> out) const {
   FORUMCAST_CHECK(fitted());
@@ -48,25 +40,6 @@ void AnswerPredictor::predict_probability_batch(ml::Tensor<const double> rows,
   }
 }
 
-void AnswerPredictor::save(std::ostream& out) const {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot save an unfitted AnswerPredictor");
-  out << "forumcast-answer 1\n";
-  ml::save_scaler(scaler_, out);
-  ml::save_logistic(model_, out);
-}
-
-AnswerPredictor AnswerPredictor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  FORUMCAST_CHECK_MSG(in.good() && magic == "forumcast-answer" && version == 1,
-                      "bad AnswerPredictor header");
-  AnswerPredictor predictor;
-  predictor.scaler_ = ml::load_scaler(in);
-  predictor.model_ = ml::load_logistic(in);
-  return predictor;
-}
-
 void AnswerPredictor::encode(artifact::Encoder& enc) const {
   FORUMCAST_CHECK_MSG(fitted(), "cannot encode an unfitted AnswerPredictor");
   ml::encode_scaler(scaler_, enc);
@@ -77,6 +50,11 @@ AnswerPredictor AnswerPredictor::decode(artifact::Decoder& dec) {
   AnswerPredictor predictor;
   predictor.scaler_ = ml::decode_scaler(dec);
   predictor.model_ = ml::decode_logistic(dec);
+  FORUMCAST_CHECK_MSG(
+      predictor.model_.weights().size() == predictor.scaler_.dimension(),
+      "answer predictor shape mismatch: scaler dimension "
+          << predictor.scaler_.dimension() << ", logistic weight count "
+          << predictor.model_.weights().size());
   return predictor;
 }
 

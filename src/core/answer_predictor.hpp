@@ -5,14 +5,13 @@
 // nonlinear models overfit the negatives.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "artifact/artifact.hpp"
 #include "ml/logistic_regression.hpp"
-#include "ml/matrix.hpp"
 #include "ml/scaler.hpp"
+#include "ml/tensor.hpp"
 
 namespace forumcast::core {
 
@@ -32,18 +31,15 @@ class AnswerPredictor {
 
   /// Batched form over raw (unscaled) feature rows; writes one probability
   /// per row. Results match predict_probability() bit for bit.
-  void predict_probability_batch(const ml::Matrix& rows,
-                                 std::span<double> out) const;
   void predict_probability_batch(ml::Tensor<const double> rows,
                                  std::span<double> out) const;
 
   bool fitted() const { return model_.fitted(); }
+  /// Feature dimension the fitted model expects.
+  std::size_t input_dim() const { return scaler_.dimension(); }
 
-  /// Persistence: scaler + logistic parameters (not the training config).
-  void save(std::ostream& out) const;
-  static AnswerPredictor load(std::istream& in);
-
-  /// Model-bundle codec; a decoded predictor is bit-identical in prediction.
+  /// Model-bundle codec (scaler + logistic parameters, not the training
+  /// config); a decoded predictor is bit-identical in prediction.
   void encode(artifact::Encoder& enc) const;
   static AnswerPredictor decode(artifact::Decoder& dec);
 

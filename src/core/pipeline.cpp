@@ -5,6 +5,7 @@
 #include <ostream>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "artifact/artifact.hpp"
 #include "ml/serialize.hpp"
@@ -272,7 +273,7 @@ void ForecastPipeline::save(std::ostream& out) const {
   }
 
   // Optional trailer #3: the int8 vote network, present only when the
-  // pipeline was fitted (or asked) to serve quantized. The fp32 weights in
+  // pipeline was fitted (or asked) to serve quantized. The fp64 weights in
   // the kVotePredictor section stay canonical; this section preserves the
   // fit-time calibration (bias correction) that a load-time regeneration
   // could not recover.
@@ -340,6 +341,20 @@ ForecastPipeline ForecastPipeline::load(std::istream& in,
   pipeline.timing_ = TimingPredictor::decode(timing);
   timing.finish();
 
+  // Every predictor consumes the extractor's 18 + 2K features; a bundle
+  // stitched from fits with different topic counts would pass its CRCs and
+  // then fail every score, so refuse it here.
+  const std::size_t dim = pipeline.extractor_->dimension();
+  for (const auto& [name, input_dim] :
+       {std::pair{"answer", pipeline.answer_.input_dim()},
+        std::pair{"vote", pipeline.vote_.input_dim()},
+        std::pair{"timing", pipeline.timing_.input_dim()}}) {
+    FORUMCAST_CHECK_MSG(input_dim == dim,
+                        "model bundle shape mismatch: " << name
+                            << " predictor expects " << input_dim
+                            << " features, extractor produces " << dim);
+  }
+
   // Optional trailer: bundles written before the drift baseline existed end
   // right after the timing predictor. Loading them leaves the baseline
   // empty, and the monitor reports "no baseline" instead of fake PSI.
@@ -370,8 +385,8 @@ ForecastPipeline ForecastPipeline::load(std::istream& in,
   }
 
   // Optional trailer #3: int8 vote network. Bundles without it load on the
-  // fp32 path; quantized serving can still be enabled afterwards via
-  // quantize_vote(), which regenerates from the fp32 master weights.
+  // fp64 path; quantized serving can still be enabled afterwards via
+  // quantize_vote(), which regenerates from the fp64 master weights.
   if (auto quantized = reader.try_expect(artifact::SectionKind::kQuantizedMlp)) {
     pipeline.vote_.install_quantized(ml::decode_quantized_mlp(*quantized));
     quantized->finish();

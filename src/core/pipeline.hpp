@@ -150,7 +150,7 @@ class ForecastPipeline {
   static ForecastPipeline load(std::istream& in, const forum::Dataset& dataset);
 
   /// Switches vote-network inference to the int8 path, deriving the
-  /// quantized net from the fp32 master weights if the bundle did not carry
+  /// quantized net from the fp64 master weights if the bundle did not carry
   /// one. No-op when already quantized. Requires fit() (or load()). Not
   /// synchronized against concurrent predict() — same discipline as
   /// set_prediction_observer().

@@ -5,9 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "ml/adam.hpp"
 #include "ml/activations.hpp"
@@ -423,12 +421,6 @@ double TimingPredictor::predict_delay(std::span<const double> features,
   return std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
 }
 
-void TimingPredictor::predict_delay_batch(const ml::Matrix& rows,
-                                          double open_duration,
-                                          std::span<double> out) const {
-  predict_delay_batch(rows.view(), open_duration, out);
-}
-
 void TimingPredictor::predict_delay_batch(ml::Tensor<const double> rows,
                                           double open_duration,
                                           std::span<double> out) const {
@@ -454,60 +446,6 @@ void TimingPredictor::predict_delay_batch(ml::Tensor<const double> rows,
         raw_estimate(mu(r, 0) + kMuFloor, omega_r, open_duration, grid);
     out[r] = std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
   }
-}
-
-void TimingPredictor::save(std::ostream& out) const {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot save an unfitted TimingPredictor");
-  out.precision(17);
-  out << "forumcast-timing 1\n";
-  out << "expectation "
-      << (config_.expectation ==
-                  TimingPredictorConfig::Expectation::PaperUnnormalized
-              ? "paper"
-              : "conditional")
-      << "\n";
-  out << "calibration " << calibration_offset_ << ' ' << calibration_slope_
-      << "\n";
-  out << "mean_open " << mean_open_duration_ << "\n";
-  out << "omega " << (g_net_ ? "learned" : "constant") << ' ' << omega_rho_
-      << "\n";
-  ml::save_scaler(scaler_, out);
-  ml::save_mlp(*f_net_, out);
-  if (g_net_) ml::save_mlp(*g_net_, out);
-}
-
-TimingPredictor TimingPredictor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  FORUMCAST_CHECK_MSG(in.good() && magic == "forumcast-timing" && version == 1,
-                      "bad TimingPredictor header");
-  TimingPredictor predictor;
-  std::string token, value;
-  in >> token >> value;
-  FORUMCAST_CHECK(token == "expectation");
-  FORUMCAST_CHECK_MSG(value == "paper" || value == "conditional",
-                      "unknown expectation '" << value << "'");
-  predictor.config_.expectation =
-      value == "paper" ? TimingPredictorConfig::Expectation::PaperUnnormalized
-                       : TimingPredictorConfig::Expectation::ConditionalFirstEvent;
-  in >> token >> predictor.calibration_offset_ >> predictor.calibration_slope_;
-  FORUMCAST_CHECK(token == "calibration" && !in.fail());
-  in >> token >> predictor.mean_open_duration_;
-  FORUMCAST_CHECK(token == "mean_open" && !in.fail());
-  std::string omega_kind;
-  in >> token >> omega_kind >> predictor.omega_rho_;
-  FORUMCAST_CHECK(token == "omega" && !in.fail());
-  FORUMCAST_CHECK_MSG(omega_kind == "learned" || omega_kind == "constant",
-                      "unknown omega kind '" << omega_kind << "'");
-  predictor.config_.learn_omega = (omega_kind == "learned");
-  predictor.scaler_ = ml::load_scaler(in);
-  predictor.f_net_ = std::make_unique<ml::Mlp>(ml::load_mlp(in));
-  if (predictor.config_.learn_omega) {
-    predictor.g_net_ = std::make_unique<ml::Mlp>(ml::load_mlp(in));
-  }
-  predictor.fitted_ = true;
-  return predictor;
 }
 
 void TimingPredictor::encode(artifact::Encoder& enc) const {
@@ -536,9 +474,19 @@ TimingPredictor TimingPredictor::decode(artifact::Decoder& dec) {
   predictor.config_.learn_omega = dec.boolean("timing omega kind");
   predictor.omega_rho_ = dec.f64("timing omega rho");
   predictor.scaler_ = ml::decode_scaler(dec);
-  predictor.f_net_ = std::make_unique<ml::Mlp>(ml::decode_mlp(dec));
+  const auto decode_rate_net = [&](const char* name) {
+    auto net = std::make_unique<ml::Mlp>(ml::decode_mlp(dec));
+    FORUMCAST_CHECK_MSG(
+        net->input_dim() == predictor.scaler_.dimension() &&
+            net->output_dim() == 1,
+        "timing predictor shape mismatch: scaler dimension "
+            << predictor.scaler_.dimension() << ", " << name << " network "
+            << net->input_dim() << " -> " << net->output_dim());
+    return net;
+  };
+  predictor.f_net_ = decode_rate_net("excitation");
   if (predictor.config_.learn_omega) {
-    predictor.g_net_ = std::make_unique<ml::Mlp>(ml::decode_mlp(dec));
+    predictor.g_net_ = decode_rate_net("decay");
   }
   predictor.fitted_ = true;
   return predictor;

@@ -22,13 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "artifact/artifact.hpp"
-#include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
 #include "ml/scaler.hpp"
 
@@ -119,8 +117,6 @@ class TimingPredictor {
   /// Batched form over raw (unscaled) feature rows sharing one question (and
   /// hence one open duration); writes one delay per row. Both rate networks
   /// run as blocked-GEMM forwards; matches predict_delay() bit for bit.
-  void predict_delay_batch(const ml::Matrix& rows, double open_duration,
-                           std::span<double> out) const;
   void predict_delay_batch(ml::Tensor<const double> rows, double open_duration,
                            std::span<double> out) const;
 
@@ -140,14 +136,13 @@ class TimingPredictor {
                                    double horizon_hours) const;
 
   bool fitted() const { return fitted_; }
-
-  /// Persistence: scaler, f/g networks (or the constant-ω parameter), the
-  /// estimator choice, calibration, and the mean open duration.
-  void save(std::ostream& out) const;
-  static TimingPredictor load(std::istream& in);
+  /// Feature dimension the fitted model expects.
+  std::size_t input_dim() const { return scaler_.dimension(); }
 
   /// Model-bundle codec covering the full point-process parametrization
-  /// (μ via f_Θ, ω via g_Θ or the constant-ω ρ); bit-identical predictions.
+  /// (scaler, μ via f_Θ, ω via g_Θ or the constant-ω ρ, the estimator
+  /// choice, calibration, and the mean open duration); bit-identical
+  /// predictions.
   void encode(artifact::Encoder& enc) const;
   static TimingPredictor decode(artifact::Decoder& dec);
 

@@ -1,9 +1,7 @@
 #include "core/vote_predictor.hpp"
 
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "ml/adam.hpp"
 #include "ml/serialize.hpp"
@@ -148,11 +146,6 @@ double VotePredictor::predict(std::span<const double> features) const {
   return output[0] * target_scale_ + target_mean_;
 }
 
-void VotePredictor::predict_batch(const ml::Matrix& rows,
-                                  std::span<double> out) const {
-  predict_batch(rows.view(), out);
-}
-
 void VotePredictor::predict_batch(ml::Tensor<const double> rows,
                                   std::span<double> out) const {
   FORUMCAST_CHECK(fitted());
@@ -175,34 +168,6 @@ void VotePredictor::predict_batch(ml::Tensor<const double> rows,
   }
 }
 
-void VotePredictor::save(std::ostream& out) const {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot save an unfitted VotePredictor");
-  out.precision(17);
-  out << "forumcast-vote 1\n";
-  out << "target " << target_mean_ << ' ' << target_scale_ << "\n";
-  ml::save_scaler(scaler_, out);
-  ml::save_mlp(*network_, out);
-}
-
-VotePredictor VotePredictor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  FORUMCAST_CHECK_MSG(in.good() && magic == "forumcast-vote" && version == 1,
-                      "bad VotePredictor header");
-  std::string token;
-  in >> token;
-  FORUMCAST_CHECK(token == "target");
-  VotePredictor predictor;
-  in >> predictor.target_mean_ >> predictor.target_scale_;
-  FORUMCAST_CHECK_MSG(!in.fail(), "bad VotePredictor target transform");
-  FORUMCAST_CHECK(predictor.target_scale_ > 0.0);
-  predictor.scaler_ = ml::load_scaler(in);
-  predictor.network_ = std::make_unique<ml::Mlp>(ml::load_mlp(in));
-  predictor.fitted_ = true;
-  return predictor;
-}
-
 void VotePredictor::encode(artifact::Encoder& enc) const {
   FORUMCAST_CHECK_MSG(fitted(), "cannot encode an unfitted VotePredictor");
   enc.f64(target_mean_, "vote target mean");
@@ -219,6 +184,13 @@ VotePredictor VotePredictor::decode(artifact::Decoder& dec) {
                       "vote target scale must be positive");
   predictor.scaler_ = ml::decode_scaler(dec);
   predictor.network_ = std::make_unique<ml::Mlp>(ml::decode_mlp(dec));
+  FORUMCAST_CHECK_MSG(
+      predictor.network_->input_dim() == predictor.scaler_.dimension() &&
+          predictor.network_->output_dim() == 1,
+      "vote predictor shape mismatch: scaler dimension "
+          << predictor.scaler_.dimension() << ", network "
+          << predictor.network_->input_dim() << " -> "
+          << predictor.network_->output_dim());
   predictor.fitted_ = true;
   return predictor;
 }

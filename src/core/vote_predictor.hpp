@@ -7,13 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "artifact/artifact.hpp"
-#include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
 #include "ml/quant.hpp"
 #include "ml/scaler.hpp"
@@ -38,7 +36,7 @@ struct VotePredictorConfig {
   std::size_t threads = 1;
   /// Opt-in int8 inference: after fit, derive an int8 network calibrated on
   /// the scaled training rows and route predict()/predict_batch() through
-  /// it. The fp32 master weights stay canonical and are what persistence
+  /// it. The fp64 master weights stay canonical and are what persistence
   /// saves; the quantized net travels alongside (or is regenerated at load).
   bool quantize = false;
 };
@@ -55,28 +53,26 @@ class VotePredictor {
 
   /// Batched form over raw (unscaled) feature rows; writes one estimate per
   /// row. One blocked-GEMM forward pass; matches predict() bit for bit.
-  void predict_batch(const ml::Matrix& rows, std::span<double> out) const;
   void predict_batch(ml::Tensor<const double> rows, std::span<double> out) const;
 
   bool fitted() const { return fitted_; }
+  /// Feature dimension the fitted model expects.
+  std::size_t input_dim() const { return scaler_.dimension(); }
 
   /// True when inference routes through the int8 network.
   bool quantized() const { return quantized_ != nullptr; }
 
-  /// Derives the int8 network from the fp32 master weights with zero bias
+  /// Derives the int8 network from the fp64 master weights with zero bias
   /// correction (the load-time regeneration path — no calibration data).
   void quantize_from_master();
 
-  /// The active int8 network, or nullptr on the fp32 path (bundle codec).
+  /// The active int8 network, or nullptr on the fp64 path (bundle codec).
   const ml::QuantizedMlp* quantized_net() const { return quantized_.get(); }
   /// Installs a decoded int8 network (bundle load).
   void install_quantized(ml::QuantizedMlp net);
 
-  /// Persistence: scaler, network, and the target de-standardization.
-  void save(std::ostream& out) const;
-  static VotePredictor load(std::istream& in);
-
-  /// Model-bundle codec; a decoded predictor is bit-identical in prediction.
+  /// Model-bundle codec (scaler, network, and the target
+  /// de-standardization); a decoded predictor is bit-identical in prediction.
   void encode(artifact::Encoder& enc) const;
   static VotePredictor decode(artifact::Decoder& dec);
 

@@ -39,17 +39,4 @@ void Adam::reset() {
   steps_ = 0;
 }
 
-Adam Adam::from_state(AdamConfig config, std::vector<double> first_moment,
-                      std::vector<double> second_moment, std::size_t steps) {
-  FORUMCAST_CHECK_MSG(first_moment.size() == second_moment.size(),
-                      "Adam::from_state: moment dimension mismatch ("
-                          << first_moment.size() << " vs "
-                          << second_moment.size() << ")");
-  Adam optimizer(first_moment.size(), config);
-  optimizer.first_moment_ = std::move(first_moment);
-  optimizer.second_moment_ = std::move(second_moment);
-  optimizer.steps_ = steps;
-  return optimizer;
-}
-
 }  // namespace forumcast::ml

@@ -28,13 +28,6 @@ class Adam {
   std::size_t dimension() const { return first_moment_.size(); }
   const AdamConfig& config() const { return config_; }
   std::size_t steps_taken() const { return steps_; }
-  std::span<const double> first_moment() const { return first_moment_; }
-  std::span<const double> second_moment() const { return second_moment_; }
-
-  /// Rebuilds mid-training optimizer state from a serialized checkpoint so a
-  /// resumed fit takes the exact step the uninterrupted fit would have.
-  static Adam from_state(AdamConfig config, std::vector<double> first_moment,
-                         std::vector<double> second_moment, std::size_t steps);
 
  private:
   AdamConfig config_;

@@ -60,43 +60,29 @@ void LogisticRegression::fit(std::span<const std::vector<double>> rows,
     for (std::size_t start = 0; start < order.size(); start += batch) {
       const std::size_t end = std::min(order.size(), start + batch);
       std::fill(grads.begin(), grads.end(), 0.0);
-      if (threads == 1) {
-        for (std::size_t k = start; k < end; ++k) {
-          const auto idx = order[k];
-          const auto& x = rows[idx];
-          const double margin =
-              dot(std::span<const double>(params).first(dim), x) + params[dim];
-          const double p = sigmoid(margin);
-          const double err = p - static_cast<double>(labels[idx]);
-          // Brier score: two flops per sample, unlike log-loss, and monotone
-          // enough to watch training converge.
-          epoch_loss += err * err;
-          for (std::size_t c = 0; c < dim; ++c) grads[c] += err * x[c];
-          grads[dim] += err;
-        }
-      } else {
-        // Margins and residuals depend only on the batch-start parameters,
-        // so compute them serially in sample order, then shard the gradient
-        // columns (bit-equal to the serial loop above at any thread count).
-        std::size_t filled = 0;
-        for (std::size_t k = start; k < end; ++k) {
-          const auto idx = order[k];
-          const auto& x = rows[idx];
-          const double margin =
-              dot(std::span<const double>(params).first(dim), x) + params[dim];
-          const double p = sigmoid(margin);
-          const double err = p - static_cast<double>(labels[idx]);
-          epoch_loss += err * err;
-          errs[filled] = err;
-          xrows[filled] = x.data();
-          ++filled;
-        }
-        accumulate_weighted_rows(
-            std::span<const double* const>(xrows, filled),
-            std::span<const double>(errs, filled),
-            std::span<double>(grads).first(dim), threads);
-        for (std::size_t i = 0; i < filled; ++i) grads[dim] += errs[i];
+      // Margins and residuals depend only on the batch-start parameters, so
+      // compute them serially in sample order, then shard the gradient
+      // columns. Each column still sums in sample order, so the result is
+      // bit-equal at every thread count.
+      std::size_t filled = 0;
+      for (std::size_t k = start; k < end; ++k) {
+        const auto idx = order[k];
+        const auto& x = rows[idx];
+        const double margin =
+            dot(std::span<const double>(params).first(dim), x) + params[dim];
+        const double p = sigmoid(margin);
+        const double err = p - static_cast<double>(labels[idx]);
+        // Brier score: two flops per sample, unlike log-loss, and monotone
+        // enough to watch training converge.
+        epoch_loss += err * err;
+        errs[filled] = err;
+        xrows[filled] = x.data();
+        ++filled;
       }
+      accumulate_weighted_rows(std::span<const double* const>(xrows, filled),
+                               std::span<const double>(errs, filled),
+                               std::span<double>(grads).first(dim), threads);
+      for (std::size_t i = 0; i < filled; ++i) grads[dim] += errs[i];
       const double inv = 1.0 / static_cast<double>(end - start);
       for (std::size_t c = 0; c < dim; ++c) {
         grads[c] = grads[c] * inv + config_.l2 * params[c];

@@ -78,28 +78,4 @@ double MatrixFactorization::predict(std::size_t user, std::size_t item) const {
   return pred;
 }
 
-MatrixFactorization MatrixFactorization::from_state(
-    MatrixFactorizationConfig config, double global_mean,
-    std::vector<double> user_bias, std::vector<double> item_bias,
-    std::vector<double> user_factors, std::vector<double> item_factors) {
-  const std::size_t d = config.latent_dim;
-  FORUMCAST_CHECK_MSG(d >= 1, "MatrixFactorization::from_state: latent_dim 0");
-  FORUMCAST_CHECK_MSG(user_factors.size() == user_bias.size() * d,
-                      "MatrixFactorization::from_state: user_factors size "
-                          << user_factors.size() << " != " << user_bias.size()
-                          << " users x " << d);
-  FORUMCAST_CHECK_MSG(item_factors.size() == item_bias.size() * d,
-                      "MatrixFactorization::from_state: item_factors size "
-                          << item_factors.size() << " != " << item_bias.size()
-                          << " items x " << d);
-  MatrixFactorization model(config);
-  model.fitted_ = true;
-  model.global_mean_ = global_mean;
-  model.user_bias_ = std::move(user_bias);
-  model.item_bias_ = std::move(item_bias);
-  model.user_factors_ = std::move(user_factors);
-  model.item_factors_ = std::move(item_factors);
-  return model;
-}
-
 }  // namespace forumcast::ml

@@ -39,20 +39,6 @@ class MatrixFactorization {
 
   bool fitted() const { return fitted_; }
   double global_mean() const { return global_mean_; }
-  std::size_t latent_dim() const { return config_.latent_dim; }
-  std::span<const double> user_bias() const { return user_bias_; }
-  std::span<const double> item_bias() const { return item_bias_; }
-  std::span<const double> user_factors() const { return user_factors_; }
-  std::span<const double> item_factors() const { return item_factors_; }
-
-  /// Rebuilds a fitted model from serialized state (factor matrices
-  /// row-major at `config.latent_dim` columns); bit-identical predictions.
-  static MatrixFactorization from_state(MatrixFactorizationConfig config,
-                                        double global_mean,
-                                        std::vector<double> user_bias,
-                                        std::vector<double> item_bias,
-                                        std::vector<double> user_factors,
-                                        std::vector<double> item_factors);
 
  private:
   MatrixFactorizationConfig config_;

@@ -54,40 +54,26 @@ void PoissonRegression::fit(std::span<const std::vector<double>> rows,
     for (std::size_t start = 0; start < order.size(); start += batch) {
       const std::size_t end = std::min(order.size(), start + batch);
       std::fill(grads.begin(), grads.end(), 0.0);
-      if (threads == 1) {
-        for (std::size_t k = start; k < end; ++k) {
-          const auto idx = order[k];
-          const auto& x = rows[idx];
-          double eta = dot(std::span<const double>(params).first(dim), x) + params[dim];
-          eta = std::clamp(eta, -config_.max_linear_predictor, eta_ceiling_);
-          const double lambda = std::exp(eta);
-          // d/dη (λ − y η) = λ − y
-          const double err = lambda - targets[idx];
-          for (std::size_t c = 0; c < dim; ++c) grads[c] += err * x[c];
-          grads[dim] += err;
-        }
-      } else {
-        // Rates depend only on the batch-start parameters: compute residuals
-        // serially in sample order, then shard the gradient columns
-        // (bit-equal to the serial loop above at any thread count).
-        std::size_t filled = 0;
-        for (std::size_t k = start; k < end; ++k) {
-          const auto idx = order[k];
-          const auto& x = rows[idx];
-          double eta = dot(std::span<const double>(params).first(dim), x) + params[dim];
-          eta = std::clamp(eta, -config_.max_linear_predictor, eta_ceiling_);
-          const double lambda = std::exp(eta);
-          const double err = lambda - targets[idx];
-          errs[filled] = err;
-          xrows[filled] = x.data();
-          ++filled;
-        }
-        accumulate_weighted_rows(
-            std::span<const double* const>(xrows, filled),
-            std::span<const double>(errs, filled),
-            std::span<double>(grads).first(dim), threads);
-        for (std::size_t i = 0; i < filled; ++i) grads[dim] += errs[i];
+      // Rates depend only on the batch-start parameters: compute residuals
+      // serially in sample order, then shard the gradient columns (each
+      // column still sums in sample order — bit-equal at every thread count).
+      std::size_t filled = 0;
+      for (std::size_t k = start; k < end; ++k) {
+        const auto idx = order[k];
+        const auto& x = rows[idx];
+        double eta = dot(std::span<const double>(params).first(dim), x) + params[dim];
+        eta = std::clamp(eta, -config_.max_linear_predictor, eta_ceiling_);
+        const double lambda = std::exp(eta);
+        // d/dη (λ − y η) = λ − y
+        const double err = lambda - targets[idx];
+        errs[filled] = err;
+        xrows[filled] = x.data();
+        ++filled;
       }
+      accumulate_weighted_rows(std::span<const double* const>(xrows, filled),
+                               std::span<const double>(errs, filled),
+                               std::span<double>(grads).first(dim), threads);
+      for (std::size_t i = 0; i < filled; ++i) grads[dim] += errs[i];
       const double inv = 1.0 / static_cast<double>(end - start);
       for (std::size_t c = 0; c < dim; ++c) {
         grads[c] = grads[c] * inv + config_.l2 * params[c];
@@ -108,18 +94,6 @@ double PoissonRegression::predict_mean(std::span<const double> row) const {
       std::clamp(dot(weights_, row) + bias_, -config_.max_linear_predictor,
                  eta_ceiling_);
   return std::exp(eta);
-}
-
-PoissonRegression PoissonRegression::from_parameters(
-    std::vector<double> weights, double bias, double eta_ceiling,
-    PoissonRegressionConfig config) {
-  FORUMCAST_CHECK_MSG(!weights.empty(),
-                      "PoissonRegression::from_parameters: empty weights");
-  PoissonRegression model(config);
-  model.weights_ = std::move(weights);
-  model.bias_ = bias;
-  model.eta_ceiling_ = eta_ceiling;
-  return model;
 }
 
 }  // namespace forumcast::ml

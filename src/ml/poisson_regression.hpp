@@ -20,10 +20,10 @@ struct PoissonRegressionConfig {
   /// effective ceiling to log(2·max target) so a diverging iterate cannot
   /// produce astronomically large rate predictions.
   double max_linear_predictor = 20.0;
-  /// Gradient-accumulation threads; 1 = the sample-major serial loop, 0 =
-  /// util::default_thread_count(). The parallel path shards columns with
-  /// per-column chains in sample order (ml::accumulate_weighted_rows), so it
-  /// is bit-equal to the serial loop at every thread count.
+  /// Gradient-accumulation threads (0 = util::default_thread_count()). The
+  /// gradient shards columns with per-column chains in sample order
+  /// (ml::accumulate_weighted_rows), so the fit is bit-equal at every thread
+  /// count; narrow models run inline whatever the count.
   std::size_t threads = 1;
 };
 
@@ -42,14 +42,7 @@ class PoissonRegression {
   bool fitted() const { return !weights_.empty(); }
   std::span<const double> weights() const { return weights_; }
   double bias() const { return bias_; }
-  double eta_ceiling() const { return eta_ceiling_; }
   const PoissonRegressionConfig& config() const { return config_; }
-
-  /// Rebuilds a fitted model from serialized state; predictions are
-  /// bit-identical to the model that exported (weights, bias, eta_ceiling).
-  static PoissonRegression from_parameters(std::vector<double> weights,
-                                           double bias, double eta_ceiling,
-                                           PoissonRegressionConfig config = {});
 
  private:
   PoissonRegressionConfig config_;

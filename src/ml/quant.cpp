@@ -334,79 +334,6 @@ void gemm_s8_avx2(std::size_t n, std::size_t m, std::size_t k,
 #endif  // __AVX2__
 
 #if defined(__AVX512VNNI__) && defined(__AVX512BW__) && defined(__AVX512F__)
-// dpbusd multiplies UNSIGNED by signed int8. Biasing the activations by +128
-// (int8 x ^ 0x80 reinterpreted as uint8 equals x + 128) makes them unsigned:
-//   Σ (x+128)·w = Σ x·w + 128·Σ w
-// so subtracting 128·row_sums (precomputed exactly over the padded row)
-// recovers the exact signed sum. Integer arithmetic throughout — identical
-// bits to the scalar kernel. Padding lanes hold w = 0 and contribute zero to
-// both the dot product and the row sum.
-// In-register horizontal int32 sum (integer adds in any order are exact).
-inline std::int32_t hsum_epi32(__m512i v) {
-  return _mm512_reduce_add_epi32(v);
-}
-
-// Fold one 512-bit int32 accumulator to 8 lanes.
-inline __m256i fold_epi32(__m512i v) {
-  return _mm256_add_epi32(_mm512_castsi512_si256(v),
-                          _mm512_extracti64x4_epi64(v, 1));
-}
-
-void gemm_s8_vnni(std::size_t n, std::size_t m, std::size_t k,
-                  const std::int8_t* a, std::size_t lda, const std::int8_t* b,
-                  std::size_t ldb, std::int32_t* c, std::size_t ldc,
-                  const std::int32_t* b_row_sums) {
-  const __m512i bias_flip = _mm512_set1_epi8(static_cast<char>(0x80));
-  const __m128i offset = _mm_set1_epi32(128);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::int8_t* arow = a + r * lda;
-    std::size_t u = 0;
-    // Four weight rows per pass: the biased activation chunk is loaded once
-    // and the four accumulators reduce together through two hadd levels —
-    // far cheaper than four independent 16-lane reductions. Integer adds are
-    // exact in any order, so the sums match the scalar kernel bit for bit.
-    for (; u + 4 <= m; u += 4) {
-      const std::int8_t* b0 = b + (u + 0) * ldb;
-      const std::int8_t* b1 = b + (u + 1) * ldb;
-      const std::int8_t* b2 = b + (u + 2) * ldb;
-      const std::int8_t* b3 = b + (u + 3) * ldb;
-      __m512i acc0 = _mm512_setzero_si512();
-      __m512i acc1 = _mm512_setzero_si512();
-      __m512i acc2 = _mm512_setzero_si512();
-      __m512i acc3 = _mm512_setzero_si512();
-      for (std::size_t i = 0; i < k; i += 64) {
-        const __m512i av =
-            _mm512_xor_si512(_mm512_loadu_si512(arow + i), bias_flip);
-        acc0 = _mm512_dpbusd_epi32(acc0, av, _mm512_loadu_si512(b0 + i));
-        acc1 = _mm512_dpbusd_epi32(acc1, av, _mm512_loadu_si512(b1 + i));
-        acc2 = _mm512_dpbusd_epi32(acc2, av, _mm512_loadu_si512(b2 + i));
-        acc3 = _mm512_dpbusd_epi32(acc3, av, _mm512_loadu_si512(b3 + i));
-      }
-      // hadd works within 128-bit halves: two levels leave [S0 S1 S2 S3] in
-      // each half, and the cross-half add completes the 16-lane sums.
-      const __m256i h01 = _mm256_hadd_epi32(fold_epi32(acc0), fold_epi32(acc1));
-      const __m256i h23 = _mm256_hadd_epi32(fold_epi32(acc2), fold_epi32(acc3));
-      const __m256i h = _mm256_hadd_epi32(h01, h23);
-      __m128i sums = _mm_add_epi32(_mm256_castsi256_si128(h),
-                                   _mm256_extracti128_si256(h, 1));
-      const __m128i row_sums = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b_row_sums + u));
-      sums = _mm_sub_epi32(sums, _mm_mullo_epi32(offset, row_sums));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(c + r * ldc + u), sums);
-    }
-    for (; u < m; ++u) {
-      const std::int8_t* brow = b + u * ldb;
-      __m512i acc = _mm512_setzero_si512();
-      for (std::size_t i = 0; i < k; i += 64) {
-        const __m512i av = _mm512_loadu_si512(arow + i);
-        const __m512i bv = _mm512_loadu_si512(brow + i);
-        acc = _mm512_dpbusd_epi32(acc, _mm512_xor_si512(av, bias_flip), bv);
-      }
-      c[r * ldc + u] = hsum_epi32(acc) - 128 * b_row_sums[u];
-    }
-  }
-}
-
 inline __m512i broadcast_u32(const std::int8_t* p) {
   std::int32_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -466,9 +393,9 @@ void gemm_s8u_vnni_packed(std::size_t n, std::size_t m, std::size_t k_used,
 
 namespace {
 
-// The VNNI kernel needs the weight row sums, which the generic GemmS8Fn
-// signature doesn't carry; QuantizedMlp calls through dispatch() below
-// instead, and gemm_s8()/gemm_s8_variant() expose the choice for tests and
+// kVnni selects the packed-B serving kernel, which needs QuantizedMlp's
+// packed layout and row sums; the generic row-major GemmS8Fn entry maps it
+// to AVX2. gemm_s8()/gemm_s8_variant() expose the choice for tests and
 // benches.
 enum class Kernel { kScalar, kAvx2, kVnni };
 
@@ -490,33 +417,11 @@ Kernel active_kernel() {
   return kernel;
 }
 
-void dispatch_gemm_s8(std::size_t n, std::size_t m, std::size_t k,
-                      const std::int8_t* a, std::size_t lda,
-                      const std::int8_t* b, std::size_t ldb, std::int32_t* c,
-                      std::size_t ldc, const std::int32_t* b_row_sums) {
-  switch (active_kernel()) {
-#if defined(__AVX512VNNI__) && defined(__AVX512BW__) && defined(__AVX512F__)
-    case Kernel::kVnni:
-      gemm_s8_vnni(n, m, k, a, lda, b, ldb, c, ldc, b_row_sums);
-      return;
-#endif
-#if defined(__AVX2__)
-    case Kernel::kAvx2:
-      gemm_s8_avx2(n, m, k, a, lda, b, ldb, c, ldc);
-      return;
-#endif
-    default:
-      gemm_s8_scalar(n, m, k, a, lda, b, ldb, c, ldc);
-      return;
-  }
-  (void)b_row_sums;
-}
-
 void gemm_s8_auto(std::size_t n, std::size_t m, std::size_t k,
                   const std::int8_t* a, std::size_t lda, const std::int8_t* b,
                   std::size_t ldb, std::int32_t* c, std::size_t ldc) {
-  // Without row sums the VNNI variant is unavailable; AVX2 is the widest
-  // sum-free kernel.
+  // The VNNI kernel only exists in packed-B form; AVX2 is the widest
+  // row-major kernel.
   switch (active_kernel()) {
 #if defined(__AVX2__)
     case Kernel::kAvx2:
@@ -632,7 +537,7 @@ QuantizedMlp QuantizedMlp::from(const Mlp& net, const Matrix& calibration) {
   FORUMCAST_CHECK(calibration.rows() > 0);
   FORUMCAST_CHECK(calibration.cols() == net.input_dim());
   // Per-layer mean inputs: layer 0 sees the calibration rows themselves,
-  // layer l > 0 the fp32 activations of layer l−1.
+  // layer l > 0 the fp64 activations of layer l−1.
   Mlp::BatchTape tape;
   net.forward_batch(calibration, tape);
   const double inv_n = 1.0 / static_cast<double>(calibration.rows());
@@ -738,14 +643,12 @@ void QuantizedMlp::forward_batch_into(Tensor<const double> x,
                            layer.padded_k, layer.packed.data(), acc,
                            layer.units, layer.packed_row_sums.data());
     } else {
-      dispatch_gemm_s8(n, layer.units, layer.padded_k, qx, layer.padded_k,
-                       layer.weights.data(), layer.padded_k, acc, layer.units,
-                       layer.row_sums.data());
+      gemm_s8_auto(n, layer.units, layer.padded_k, qx, layer.padded_k,
+                   layer.weights.data(), layer.padded_k, acc, layer.units);
     }
 #else
-    dispatch_gemm_s8(n, layer.units, layer.padded_k, qx, layer.padded_k,
-                     layer.weights.data(), layer.padded_k, acc, layer.units,
-                     layer.row_sums.data());
+    gemm_s8_auto(n, layer.units, layer.padded_k, qx, layer.padded_k,
+                 layer.weights.data(), layer.padded_k, acc, layer.units);
 #endif
 
     const bool last = l + 1 == layers_.size();

@@ -2,7 +2,7 @@
 //
 // Scheme (dynamic per-row symmetric quantization):
 //   - Weights: per-output-row symmetric int8. scale_u = max|W[u]| / 127,
-//     q[u][i] = round(W[u][i]/scale_u) clamped to ±127. The fp32 master
+//     q[u][i] = round(W[u][i]/scale_u) clamped to ±127. The fp64 master
 //     weights stay canonical — a QuantizedMlp is always derived, never the
 //     source of truth.
 //   - Inputs: per-sample per-layer dynamic symmetric int8, same rule. Layer
@@ -22,8 +22,8 @@
 // accumulation is exact, so a sample scored alone is bit-identical to the
 // same sample scored inside any batch — the scalar/batch digest parity the
 // serving path CHECKs survives quantization. For the same reason every
-// gemm_s8 variant (scalar, AVX2, AVX-512 VNNI) returns identical bits: they
-// differ only in how they schedule exact integer adds.
+// int8 kernel (scalar, AVX2, packed-B AVX-512 VNNI) returns identical bits:
+// they differ only in how they schedule exact integer adds.
 //
 // Weight rows are stored padded with zeros to a multiple of kPad so the SIMD
 // kernels need no tail handling; zero products are exact no-ops.
@@ -42,8 +42,9 @@ namespace forumcast::ml {
 
 /// c(n×m) = a(n×k) · b(m×k)^T in exact int32 arithmetic. Row strides
 /// lda/ldb/ldc are in elements; k must cover any zero padding shared by both
-/// operands. All variants are bit-identical; gemm_s8 dispatches to the
-/// widest instruction set the CPU supports.
+/// operands. All variants are bit-identical; gemm_s8() returns the widest
+/// row-major kernel the CPU supports (AVX2 on VNNI hosts too: the VNNI
+/// kernel only runs inside QuantizedMlp, on its packed weight layout).
 using GemmS8Fn = void (*)(std::size_t n, std::size_t m, std::size_t k,
                           const std::int8_t* a, std::size_t lda,
                           const std::int8_t* b, std::size_t ldb,
@@ -53,9 +54,10 @@ void gemm_s8_scalar(std::size_t n, std::size_t m, std::size_t k,
                     const std::int8_t* a, std::size_t lda, const std::int8_t* b,
                     std::size_t ldb, std::int32_t* c, std::size_t ldc);
 
-/// The variant selected for this CPU at first use.
+/// The row-major variant selected for this CPU at first use.
 GemmS8Fn gemm_s8();
-/// Name of the selected variant ("scalar", "avx2", "avx512vnni").
+/// Name of the kernel QuantizedMlp runs on this CPU ("scalar", "avx2", or
+/// "avx512vnni" for the packed-B path).
 const char* gemm_s8_variant();
 
 /// One quantized layer: padded int8 weights plus everything needed to

@@ -1,13 +1,7 @@
 #include "ml/serialize.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstring>
-#include <istream>
-#include <limits>
-#include <ostream>
 #include <string>
-#include <system_error>
 
 #include "util/check.hpp"
 
@@ -18,84 +12,6 @@ namespace {
 // Sanity cap on any serialized dimension / count. Garbage input must fail
 // with a named error before it turns into a multi-gigabyte allocation.
 constexpr std::size_t kMaxSerializedCount = std::size_t{1} << 28;
-
-void expect_token(std::istream& in, const std::string& expected) {
-  std::string token;
-  in >> token;
-  FORUMCAST_CHECK_MSG(!in.fail() && token == expected,
-                      "expected '" << expected << "', got '"
-                                   << (in.fail() ? "<end of stream>" : token)
-                                   << "'");
-}
-
-std::string next_token(std::istream& in, const char* what) {
-  std::string token;
-  in >> token;
-  FORUMCAST_CHECK_MSG(!in.fail() && !token.empty(),
-                      "truncated input: missing " << what);
-  return token;
-}
-
-/// Strict full-token numeric parse via from_chars: trailing garbage,
-/// overflow, and (for doubles) NaN/Inf all fail with the field named.
-template <typename T>
-T parse_token(const std::string& token, const char* what) {
-  T value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  FORUMCAST_CHECK_MSG(ec == std::errc{} && ptr == end,
-                      "malformed " << what << ": '" << token << "'");
-  if constexpr (std::is_floating_point_v<T>) {
-    FORUMCAST_CHECK_MSG(std::isfinite(value),
-                        what << " is non-finite: '" << token << "'");
-  }
-  return value;
-}
-
-template <typename T>
-T read_value(std::istream& in, const char* what) {
-  return parse_token<T>(next_token(in, what), what);
-}
-
-std::size_t read_count(std::istream& in, const char* what) {
-  const auto value = read_value<std::size_t>(in, what);
-  FORUMCAST_CHECK_MSG(value <= kMaxSerializedCount,
-                      what << " is implausibly large: " << value);
-  return value;
-}
-
-void write_double(std::ostream& out, double value) {
-  // Shortest round-trip representation: parses back to the exact same bits,
-  // including -0.0, denormals, and 17-significant-digit values.
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  FORUMCAST_CHECK_MSG(ec == std::errc{}, "double format failed");
-  out.write(buffer, ptr - buffer);
-}
-
-void write_doubles(std::ostream& out, std::span<const double> values) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    write_double(out, values[i]);
-    out.put(i + 1 == values.size() ? '\n' : ' ');
-  }
-}
-
-std::vector<double> read_doubles(std::istream& in, std::size_t count,
-                                 const char* what) {
-  std::vector<double> values(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string token;
-    in >> token;
-    FORUMCAST_CHECK_MSG(!in.fail() && !token.empty(),
-                        "truncated input: missing " << what << "[" << i
-                                                    << "] of " << count);
-    std::string field = std::string(what) + "[" + std::to_string(i) + "]";
-    values[i] = parse_token<double>(token, field.c_str());
-  }
-  return values;
-}
 
 }  // namespace
 
@@ -108,95 +24,6 @@ Activation activation_from_name(const std::string& name) {
   FORUMCAST_CHECK_MSG(false, "unknown activation '" << name << "'");
   return Activation::Identity;
 }
-
-void save_mlp(const Mlp& model, std::ostream& out) {
-  out << "forumcast-mlp 1\n";
-  out << "input " << model.input_dim() << "\n";
-  out << "layers " << model.layer_count() << "\n";
-  for (const auto& layer : model.layers()) {
-    out << layer.units << ' ' << activation_name(layer.activation) << "\n";
-  }
-  out << "params " << model.param_count() << "\n";
-  write_doubles(out, model.params());
-  FORUMCAST_CHECK_MSG(out.good(), "MLP write failed");
-}
-
-Mlp load_mlp(std::istream& in) {
-  expect_token(in, "forumcast-mlp");
-  FORUMCAST_CHECK_MSG(read_value<int>(in, "mlp version") == 1,
-                      "unsupported mlp version");
-  expect_token(in, "input");
-  const auto input_dim = read_count(in, "mlp input dim");
-  expect_token(in, "layers");
-  const auto layer_count = read_count(in, "mlp layer count");
-  FORUMCAST_CHECK_MSG(layer_count >= 1, "mlp layer count must be >= 1");
-  std::vector<LayerSpec> layers;
-  layers.reserve(layer_count);
-  for (std::size_t l = 0; l < layer_count; ++l) {
-    const auto units = read_count(in, "mlp layer units");
-    FORUMCAST_CHECK_MSG(units >= 1, "mlp layer units must be >= 1");
-    layers.push_back(
-        {units, activation_from_name(next_token(in, "mlp activation name"))});
-  }
-  expect_token(in, "params");
-  const auto param_count = read_count(in, "mlp param count");
-
-  Mlp model(input_dim, std::move(layers), /*seed=*/0);
-  FORUMCAST_CHECK_MSG(model.param_count() == param_count,
-                      "mlp param count mismatch: " << param_count << " vs "
-                                                   << model.param_count());
-  const auto values = read_doubles(in, param_count, "mlp param");
-  std::copy(values.begin(), values.end(), model.params().begin());
-  return model;
-}
-
-void save_scaler(const StandardScaler& scaler, std::ostream& out) {
-  FORUMCAST_CHECK_MSG(scaler.fitted(), "cannot save an unfitted scaler");
-  out << "forumcast-scaler 1\n";
-  out << "dim " << scaler.dimension() << "\n";
-  write_doubles(out, scaler.mean());
-  write_doubles(out, scaler.scale());
-  FORUMCAST_CHECK_MSG(out.good(), "scaler write failed");
-}
-
-StandardScaler load_scaler(std::istream& in) {
-  expect_token(in, "forumcast-scaler");
-  FORUMCAST_CHECK_MSG(read_value<int>(in, "scaler version") == 1,
-                      "unsupported scaler version");
-  expect_token(in, "dim");
-  const auto dim = read_count(in, "scaler dimension");
-  FORUMCAST_CHECK_MSG(dim >= 1, "scaler dimension must be >= 1");
-  auto mean = read_doubles(in, dim, "scaler mean");
-  auto scale = read_doubles(in, dim, "scaler scale");
-  return StandardScaler::from_moments(std::move(mean), std::move(scale));
-}
-
-void save_logistic(const LogisticRegression& model, std::ostream& out) {
-  FORUMCAST_CHECK_MSG(model.fitted(), "cannot save an unfitted model");
-  out << "forumcast-logistic 1\n";
-  out << "dim " << model.weights().size() << "\n";
-  out << "bias ";
-  write_double(out, model.bias());
-  out << "\n";
-  write_doubles(out, model.weights());
-  FORUMCAST_CHECK_MSG(out.good(), "logistic write failed");
-}
-
-LogisticRegression load_logistic(std::istream& in) {
-  expect_token(in, "forumcast-logistic");
-  FORUMCAST_CHECK_MSG(read_value<int>(in, "logistic version") == 1,
-                      "unsupported logistic version");
-  expect_token(in, "dim");
-  const auto dim = read_count(in, "logistic dimension");
-  FORUMCAST_CHECK_MSG(dim >= 1, "logistic dimension must be >= 1");
-  expect_token(in, "bias");
-  const auto bias = read_value<double>(in, "logistic bias");
-  auto weights = read_doubles(in, dim, "logistic weight");
-  return LogisticRegression::from_parameters(std::move(weights), bias);
-}
-
-// ---------------------------------------------------------------------------
-// Binary artifact codecs.
 
 void encode_scaler(const StandardScaler& scaler, artifact::Encoder& enc) {
   FORUMCAST_CHECK_MSG(scaler.fitted(), "cannot encode an unfitted scaler");
@@ -239,6 +66,8 @@ void encode_mlp(const Mlp& model, artifact::Encoder& enc) {
 
 Mlp decode_mlp(artifact::Decoder& dec) {
   const auto input_dim = dec.u64("mlp input dim");
+  FORUMCAST_CHECK_MSG(input_dim >= 1 && input_dim <= kMaxSerializedCount,
+                      "mlp input dim out of range: " << input_dim);
   const auto layer_count = dec.u64("mlp layer count");
   FORUMCAST_CHECK_MSG(layer_count >= 1 && layer_count <= kMaxSerializedCount,
                       "mlp layer count out of range: " << layer_count);
@@ -324,103 +153,6 @@ QuantizedMlp decode_quantized_mlp(artifact::Decoder& dec) {
   }
   return QuantizedMlp::from_layers(static_cast<std::size_t>(input_dim),
                                    std::move(layers));
-}
-
-void encode_poisson(const PoissonRegression& model, artifact::Encoder& enc) {
-  FORUMCAST_CHECK_MSG(model.fitted(), "cannot encode an unfitted model");
-  enc.f64(model.bias(), "poisson bias");
-  enc.f64(model.eta_ceiling(), "poisson eta ceiling");
-  enc.f64(model.config().max_linear_predictor, "poisson max linear predictor");
-  enc.f64s(model.weights(), "poisson weights");
-}
-
-PoissonRegression decode_poisson(artifact::Decoder& dec) {
-  const double bias = dec.f64("poisson bias");
-  const double eta_ceiling = dec.f64("poisson eta ceiling");
-  PoissonRegressionConfig config;
-  config.max_linear_predictor = dec.f64("poisson max linear predictor");
-  auto weights = dec.f64s("poisson weights");
-  FORUMCAST_CHECK_MSG(!weights.empty(), "poisson weights are empty");
-  return PoissonRegression::from_parameters(std::move(weights), bias,
-                                            eta_ceiling, config);
-}
-
-void encode_matrix_factorization(const MatrixFactorization& model,
-                                 artifact::Encoder& enc) {
-  FORUMCAST_CHECK_MSG(model.fitted(), "cannot encode an unfitted model");
-  enc.u64(model.latent_dim());
-  enc.f64(model.global_mean(), "mf global mean");
-  enc.f64s(model.user_bias(), "mf user bias");
-  enc.f64s(model.item_bias(), "mf item bias");
-  enc.f64s(model.user_factors(), "mf user factors");
-  enc.f64s(model.item_factors(), "mf item factors");
-}
-
-MatrixFactorization decode_matrix_factorization(artifact::Decoder& dec) {
-  MatrixFactorizationConfig config;
-  const auto latent_dim = dec.u64("mf latent dim");
-  FORUMCAST_CHECK_MSG(latent_dim >= 1 && latent_dim <= kMaxSerializedCount,
-                      "mf latent dim out of range: " << latent_dim);
-  config.latent_dim = static_cast<std::size_t>(latent_dim);
-  const double global_mean = dec.f64("mf global mean");
-  auto user_bias = dec.f64s("mf user bias");
-  auto item_bias = dec.f64s("mf item bias");
-  auto user_factors = dec.f64s("mf user factors");
-  auto item_factors = dec.f64s("mf item factors");
-  return MatrixFactorization::from_state(
-      config, global_mean, std::move(user_bias), std::move(item_bias),
-      std::move(user_factors), std::move(item_factors));
-}
-
-void encode_sparfa(const Sparfa& model, artifact::Encoder& enc) {
-  FORUMCAST_CHECK_MSG(model.fitted(), "cannot encode an unfitted model");
-  enc.u64(model.latent_dim());
-  enc.f64(model.global_intercept(), "sparfa global intercept");
-  enc.f64s(model.user_loadings(), "sparfa user loadings");
-  enc.f64s(model.item_concepts(), "sparfa item concepts");
-  enc.f64s(model.user_intercept(), "sparfa user intercept");
-}
-
-Sparfa decode_sparfa(artifact::Decoder& dec) {
-  SparfaConfig config;
-  const auto latent_dim = dec.u64("sparfa latent dim");
-  FORUMCAST_CHECK_MSG(latent_dim >= 1 && latent_dim <= kMaxSerializedCount,
-                      "sparfa latent dim out of range: " << latent_dim);
-  config.latent_dim = static_cast<std::size_t>(latent_dim);
-  const double global_intercept = dec.f64("sparfa global intercept");
-  auto user_loadings = dec.f64s("sparfa user loadings");
-  auto item_concepts = dec.f64s("sparfa item concepts");
-  auto user_intercept = dec.f64s("sparfa user intercept");
-  return Sparfa::from_state(config, global_intercept, std::move(user_loadings),
-                            std::move(item_concepts),
-                            std::move(user_intercept));
-}
-
-void encode_adam(const Adam& optimizer, artifact::Encoder& enc) {
-  const AdamConfig& config = optimizer.config();
-  enc.f64(config.learning_rate, "adam learning rate");
-  enc.f64(config.beta1, "adam beta1");
-  enc.f64(config.beta2, "adam beta2");
-  enc.f64(config.epsilon, "adam epsilon");
-  enc.f64(config.weight_decay, "adam weight decay");
-  enc.u64(optimizer.steps_taken());
-  enc.f64s(optimizer.first_moment(), "adam first moment");
-  enc.f64s(optimizer.second_moment(), "adam second moment");
-}
-
-Adam decode_adam(artifact::Decoder& dec) {
-  AdamConfig config;
-  config.learning_rate = dec.f64("adam learning rate");
-  config.beta1 = dec.f64("adam beta1");
-  config.beta2 = dec.f64("adam beta2");
-  config.epsilon = dec.f64("adam epsilon");
-  config.weight_decay = dec.f64("adam weight decay");
-  const auto steps = dec.u64("adam steps");
-  auto first_moment = dec.f64s("adam first moment");
-  auto second_moment = dec.f64s("adam second moment");
-  return Adam::from_state(config, std::move(first_moment),
-                          std::move(second_moment),
-                          static_cast<std::size_t>(steps));
 }
 
 }  // namespace forumcast::ml

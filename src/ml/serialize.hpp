@@ -1,54 +1,25 @@
-// Model persistence.
-//
-// Two formats live here:
-//
-//  - A small line-oriented *text* format ("forumcast-<kind> 1" magic line,
-//    kind-specific fields). Human-inspectable; doubles are written via
-//    std::to_chars shortest-round-trip so -0.0, denormals, and
-//    max-precision values survive exactly. Loaders validate magic, every
-//    dimension, and every value (NaN/Inf and malformed tokens are rejected)
-//    and throw util::CheckError naming the offending field — a truncated
-//    stream can never silently yield default-initialized parameters.
-//
-//  - Binary *artifact* codecs (encode_*/decode_*) speaking the
-//    artifact::Encoder/Decoder protocol, used by the model bundle
-//    (ForecastPipeline::save/load). Doubles travel as raw IEEE bits, so a
-//    decoded model predicts bit-identically to the one encoded.
-//
-// Covers every trainable piece a deployment ships without retraining: MLPs,
-// scalers, logistic/Poisson regressions, the matrix-factorization and
-// SPARFA baselines, and Adam optimizer state (resumable fits).
+// Model persistence: binary artifact codecs (encode_*/decode_*) speaking the
+// artifact::Encoder/Decoder protocol. The model bundle
+// (ForecastPipeline::save/load) is the only persistence format, and these
+// codecs cover every ml:: piece it carries: scalers, the logistic
+// regression, MLPs and the int8 vote network. Doubles travel as raw IEEE
+// bits, so a decoded model predicts bit-identically to the one encoded;
+// decoders validate every count and shape and throw util::CheckError naming
+// the offending field.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "artifact/artifact.hpp"
-#include "ml/adam.hpp"
 #include "ml/logistic_regression.hpp"
-#include "ml/matrix_factorization.hpp"
 #include "ml/mlp.hpp"
-#include "ml/poisson_regression.hpp"
 #include "ml/quant.hpp"
 #include "ml/scaler.hpp"
-#include "ml/sparfa.hpp"
 
 namespace forumcast::ml {
 
-void save_mlp(const Mlp& model, std::ostream& out);
-Mlp load_mlp(std::istream& in);
-
-void save_scaler(const StandardScaler& scaler, std::ostream& out);
-StandardScaler load_scaler(std::istream& in);
-
-void save_logistic(const LogisticRegression& model, std::ostream& out);
-LogisticRegression load_logistic(std::istream& in);
-
 /// Parses an activation name written by activation_name(); throws on unknown.
 Activation activation_from_name(const std::string& name);
-
-// Binary artifact codecs. Each decode_* reverses the matching encode_* and
-// produces a model whose predictions are bit-identical to the encoded one.
 
 void encode_scaler(const StandardScaler& scaler, artifact::Encoder& enc);
 StandardScaler decode_scaler(artifact::Decoder& dec);
@@ -64,18 +35,5 @@ Mlp decode_mlp(artifact::Decoder& dec);
 /// rebuilds row sums via QuantizedMlp::from_layers.
 void encode_quantized_mlp(const QuantizedMlp& model, artifact::Encoder& enc);
 QuantizedMlp decode_quantized_mlp(artifact::Decoder& dec);
-
-void encode_poisson(const PoissonRegression& model, artifact::Encoder& enc);
-PoissonRegression decode_poisson(artifact::Decoder& dec);
-
-void encode_matrix_factorization(const MatrixFactorization& model,
-                                 artifact::Encoder& enc);
-MatrixFactorization decode_matrix_factorization(artifact::Decoder& dec);
-
-void encode_sparfa(const Sparfa& model, artifact::Encoder& enc);
-Sparfa decode_sparfa(artifact::Decoder& dec);
-
-void encode_adam(const Adam& optimizer, artifact::Encoder& enc);
-Adam decode_adam(artifact::Decoder& dec);
 
 }  // namespace forumcast::ml

@@ -80,27 +80,4 @@ double Sparfa::predict_probability(std::size_t user, std::size_t item) const {
   return sigmoid(margin);
 }
 
-Sparfa Sparfa::from_state(SparfaConfig config, double global_intercept,
-                          std::vector<double> user_loadings,
-                          std::vector<double> item_concepts,
-                          std::vector<double> user_intercept) {
-  const std::size_t d = config.latent_dim;
-  FORUMCAST_CHECK_MSG(d >= 1, "Sparfa::from_state: latent_dim 0");
-  FORUMCAST_CHECK_MSG(user_loadings.size() == user_intercept.size() * d,
-                      "Sparfa::from_state: user_loadings size "
-                          << user_loadings.size() << " != "
-                          << user_intercept.size() << " users x " << d);
-  FORUMCAST_CHECK_MSG(item_concepts.size() % d == 0,
-                      "Sparfa::from_state: item_concepts size "
-                          << item_concepts.size()
-                          << " is not a multiple of latent_dim " << d);
-  Sparfa model(config);
-  model.fitted_ = true;
-  model.global_intercept_ = global_intercept;
-  model.user_loadings_ = std::move(user_loadings);
-  model.item_concepts_ = std::move(item_concepts);
-  model.user_intercept_ = std::move(user_intercept);
-  return model;
-}
-
 }  // namespace forumcast::ml

@@ -39,18 +39,6 @@ class Sparfa {
   double predict_probability(std::size_t user, std::size_t item) const;
 
   bool fitted() const { return fitted_; }
-  std::size_t latent_dim() const { return config_.latent_dim; }
-  double global_intercept() const { return global_intercept_; }
-  std::span<const double> user_loadings() const { return user_loadings_; }
-  std::span<const double> item_concepts() const { return item_concepts_; }
-  std::span<const double> user_intercept() const { return user_intercept_; }
-
-  /// Rebuilds a fitted model from serialized state (loading matrices
-  /// row-major at `config.latent_dim` columns); bit-identical predictions.
-  static Sparfa from_state(SparfaConfig config, double global_intercept,
-                           std::vector<double> user_loadings,
-                           std::vector<double> item_concepts,
-                           std::vector<double> user_intercept);
 
  private:
   SparfaConfig config_;

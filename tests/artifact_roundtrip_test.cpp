@@ -2,15 +2,19 @@
 // back, and require bit-identical predictions on both the scalar and batch
 // paths (compared via FNV-1a digests, the same invariant the CI round-trip
 // job enforces across processes). Also covers the fingerprint check, bundle
-// corruption, and BatchScorer's atomic hot swap onto a loaded model.
+// corruption, predictor shape validation, and BatchScorer's atomic hot swap
+// onto a loaded model.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "artifact/artifact.hpp"
 #include "core/pipeline.hpp"
 #include "forum/generator.hpp"
 #include "serve/batch_scorer.hpp"
@@ -181,6 +185,78 @@ TEST(ArtifactRoundTrip, LoadRejectsCorruptBundle) {
   corrupt[corrupt.size() / 2] ^= 0x10;
   std::istringstream in(corrupt);
   EXPECT_THROW(ForecastPipeline::load(in, fixture.dataset), util::CheckError);
+}
+
+/// Re-encodes `base` section by section, taking the predictor of kind
+/// `foreign_kind` from `donor` instead (kMeta = none). Optional trailers are
+/// left out; the loader treats them as absent.
+std::string stitched_bundle(const ForecastPipeline& base,
+                            const ForecastPipeline& donor,
+                            const forum::Dataset& dataset,
+                            artifact::SectionKind foreign_kind) {
+  std::ostringstream out;
+  artifact::BundleWriter writer(out);
+  artifact::Encoder meta;
+  meta.u64(dataset.num_questions());
+  meta.u64(dataset.num_users());
+  meta.u64(dataset.stats().answers);
+  meta.f64(dataset.last_post_time(), "meta last post time");
+  meta.u64(base.generation());
+  writer.section(artifact::SectionKind::kMeta, meta);
+  artifact::Encoder extractor;
+  base.extractor().encode(extractor);
+  writer.section(artifact::SectionKind::kExtractor, extractor);
+  const auto pick = [&](artifact::SectionKind kind) -> const ForecastPipeline& {
+    return kind == foreign_kind ? donor : base;
+  };
+  artifact::Encoder answer, vote, timing;
+  pick(artifact::SectionKind::kAnswerPredictor).answer_predictor().encode(answer);
+  writer.section(artifact::SectionKind::kAnswerPredictor, answer);
+  pick(artifact::SectionKind::kVotePredictor).vote_predictor().encode(vote);
+  writer.section(artifact::SectionKind::kVotePredictor, vote);
+  pick(artifact::SectionKind::kTimingPredictor).timing_predictor().encode(timing);
+  writer.section(artifact::SectionKind::kTimingPredictor, timing);
+  writer.finish();
+  return std::move(out).str();
+}
+
+TEST(ArtifactRoundTrip, LoadRejectsPredictorShapeMismatch) {
+  // A bundle whose CRCs are all valid but whose predictor was fitted with a
+  // different LDA topic count K (feature dimension 18 + 2K) must be refused
+  // at load, not accepted and then fail every score.
+  auto& fixture = RoundTripFixture::instance();
+  PipelineConfig config = fast_config();
+  config.extractor.num_topics = fixture.pipeline.extractor().num_topics() + 2;
+  ForecastPipeline donor(config);
+  donor.fit(fixture.dataset, fixture.dataset.questions_in_days(1, 25));
+  ASSERT_NE(donor.extractor().dimension(),
+            fixture.pipeline.extractor().dimension());
+
+  {
+    // Control: the same stitching with no foreign section loads.
+    std::istringstream in(stitched_bundle(fixture.pipeline, donor,
+                                          fixture.dataset,
+                                          artifact::SectionKind::kMeta));
+    EXPECT_NO_THROW(ForecastPipeline::load(in, fixture.dataset));
+  }
+  for (const auto& [kind, name] :
+       {std::pair{artifact::SectionKind::kAnswerPredictor, "answer"},
+        std::pair{artifact::SectionKind::kVotePredictor, "vote"},
+        std::pair{artifact::SectionKind::kTimingPredictor, "timing"}}) {
+    std::istringstream in(
+        stitched_bundle(fixture.pipeline, donor, fixture.dataset, kind));
+    try {
+      ForecastPipeline::load(in, fixture.dataset);
+      ADD_FAILURE() << name << ": expected CheckError";
+    } catch (const util::CheckError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("shape mismatch"), std::string::npos) << what;
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(donor.extractor().dimension())),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(ArtifactRoundTrip, HotSwapInvalidatesCacheAndMatchesColdScorer) {

@@ -1,17 +1,43 @@
-// Persistence round trips for the three predictors.
+// Model-bundle codec round trips for the three predictors: a decoded
+// predictor must predict bit-identically to the one encoded.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "artifact/artifact.hpp"
 #include "core/answer_predictor.hpp"
 #include "core/timing_predictor.hpp"
 #include "core/vote_predictor.hpp"
+#include "ml/matrix.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace forumcast::core {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Encodes `original`, decodes it back and checks the payload was consumed.
+template <typename Predictor>
+Predictor round_trip(const Predictor& original) {
+  artifact::Encoder enc;
+  original.encode(enc);
+  artifact::Decoder dec(enc.bytes(), "predictor");
+  Predictor loaded = Predictor::decode(dec);
+  dec.finish();
+  return loaded;
+}
+
+ml::Matrix to_matrix(const std::vector<std::vector<double>>& rows) {
+  ml::Matrix m(rows.size(), rows.front().size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::copy(rows[r].begin(), rows[r].end(), m.row(r).begin());
+  }
+  return m;
+}
 
 TEST(CoreSerialize, AnswerPredictorRoundTrip) {
   util::Rng rng(1);
@@ -24,12 +50,11 @@ TEST(CoreSerialize, AnswerPredictorRoundTrip) {
   }
   AnswerPredictor original;
   original.fit(rows, labels);
-  std::stringstream buffer;
-  original.save(buffer);
-  const AnswerPredictor loaded = AnswerPredictor::load(buffer);
+  const AnswerPredictor loaded = round_trip(original);
+  EXPECT_EQ(loaded.input_dim(), 2u);
   for (const auto& row : rows) {
-    EXPECT_DOUBLE_EQ(original.predict_probability(row),
-                     loaded.predict_probability(row));
+    EXPECT_EQ(bits(original.predict_probability(row)),
+              bits(loaded.predict_probability(row)));
   }
 }
 
@@ -44,11 +69,13 @@ TEST(CoreSerialize, VotePredictorRoundTrip) {
   }
   VotePredictor original({.epochs = 40, .seed = 5});
   original.fit(rows, targets);
-  std::stringstream buffer;
-  original.save(buffer);
-  const VotePredictor loaded = VotePredictor::load(buffer);
-  for (const auto& row : rows) {
-    EXPECT_DOUBLE_EQ(original.predict(row), loaded.predict(row));
+  const VotePredictor loaded = round_trip(original);
+  const ml::Matrix batch_rows = to_matrix(rows);
+  std::vector<double> batch(rows.size());
+  loaded.predict_batch(batch_rows.view(), batch);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(bits(original.predict(rows[r])), bits(loaded.predict(rows[r])));
+    EXPECT_EQ(bits(original.predict(rows[r])), bits(batch[r]));
   }
 }
 
@@ -68,6 +95,29 @@ std::vector<TimingThread> tiny_timing_threads() {
   return threads;
 }
 
+/// Scalar and batch delays, rates, and the open-duration fallback of the
+/// decoded predictor all match the original bit for bit.
+void expect_timing_bit_identical(const TimingPredictor& original,
+                                 const TimingPredictor& loaded) {
+  const std::vector<std::vector<double>> rows = {
+      {0.0, 0.5}, {0.3, 0.5}, {1.0, 0.5}, {1.0, 0.1}};
+  for (double open : {50.0, 100.0, 0.0}) {
+    std::vector<double> batch(rows.size());
+    loaded.predict_delay_batch(to_matrix(rows).view(), open, batch);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const double expected = original.predict_delay(rows[r], open);
+      EXPECT_EQ(bits(expected), bits(loaded.predict_delay(rows[r], open)));
+      EXPECT_EQ(bits(expected), bits(batch[r]));
+    }
+  }
+  for (const auto& row : rows) {
+    EXPECT_EQ(bits(original.excitation(row)), bits(loaded.excitation(row)));
+    EXPECT_EQ(bits(original.decay(row)), bits(loaded.decay(row)));
+    EXPECT_EQ(bits(original.cumulative_intensity(row, 24.0)),
+              bits(loaded.cumulative_intensity(row, 24.0)));
+  }
+}
+
 TEST(CoreSerialize, TimingPredictorRoundTripLearnedOmega) {
   TimingPredictorConfig config;
   config.epochs = 10;
@@ -75,40 +125,31 @@ TEST(CoreSerialize, TimingPredictorRoundTripLearnedOmega) {
   config.g_hidden = {8, 4};
   TimingPredictor original(config);
   original.fit(tiny_timing_threads());
-  std::stringstream buffer;
-  original.save(buffer);
-  const TimingPredictor loaded = TimingPredictor::load(buffer);
-  for (double x : {0.0, 0.3, 1.0}) {
-    const std::vector<double> features = {x, 0.5};
-    EXPECT_DOUBLE_EQ(original.predict_delay(features, 100.0),
-                     loaded.predict_delay(features, 100.0));
-    EXPECT_DOUBLE_EQ(original.excitation(features), loaded.excitation(features));
-    EXPECT_DOUBLE_EQ(original.decay(features), loaded.decay(features));
-  }
+  expect_timing_bit_identical(original, round_trip(original));
 }
 
 TEST(CoreSerialize, TimingPredictorRoundTripConstantOmega) {
-  TimingPredictorConfig config;
-  config.epochs = 8;
-  config.f_hidden = {6};
-  config.learn_omega = false;
-  config.expectation = TimingPredictorConfig::Expectation::PaperUnnormalized;
-  TimingPredictor original(config);
-  original.fit(tiny_timing_threads());
-  std::stringstream buffer;
-  original.save(buffer);
-  const TimingPredictor loaded = TimingPredictor::load(buffer);
-  const std::vector<double> features = {1.0, 0.5};
-  EXPECT_DOUBLE_EQ(original.predict_delay(features, 50.0),
-                   loaded.predict_delay(features, 50.0));
-  EXPECT_DOUBLE_EQ(original.decay(features), loaded.decay(features));
+  // Constant ω under both estimators: the paper's closed form and the
+  // conditional first-event estimator the serving path uses.
+  for (const auto expectation :
+       {TimingPredictorConfig::Expectation::PaperUnnormalized,
+        TimingPredictorConfig::Expectation::ConditionalFirstEvent}) {
+    TimingPredictorConfig config;
+    config.epochs = 8;
+    config.f_hidden = {6};
+    config.learn_omega = false;
+    config.expectation = expectation;
+    TimingPredictor original(config);
+    original.fit(tiny_timing_threads());
+    expect_timing_bit_identical(original, round_trip(original));
+  }
 }
 
 TEST(CoreSerialize, UnfittedSaveRejected) {
-  std::stringstream buffer;
-  EXPECT_THROW(AnswerPredictor().save(buffer), util::CheckError);
-  EXPECT_THROW(VotePredictor().save(buffer), util::CheckError);
-  EXPECT_THROW(TimingPredictor().save(buffer), util::CheckError);
+  artifact::Encoder enc;
+  EXPECT_THROW(AnswerPredictor().encode(enc), util::CheckError);
+  EXPECT_THROW(VotePredictor().encode(enc), util::CheckError);
+  EXPECT_THROW(TimingPredictor().encode(enc), util::CheckError);
 }
 
 TEST(CoreSerialize, CrossKindLoadRejected) {
@@ -121,9 +162,15 @@ TEST(CoreSerialize, CrossKindLoadRejected) {
   }
   AnswerPredictor answer;
   answer.fit(rows, labels);
-  std::stringstream buffer;
-  answer.save(buffer);
-  EXPECT_THROW(VotePredictor::load(buffer), util::CheckError);
+  artifact::Encoder enc;
+  answer.encode(enc);
+  artifact::Decoder dec(enc.bytes(), "answer payload read as vote");
+  EXPECT_THROW(
+      {
+        VotePredictor::decode(dec);
+        dec.finish();
+      },
+      util::CheckError);
 }
 
 }  // namespace

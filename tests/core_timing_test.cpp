@@ -152,7 +152,7 @@ TEST(TimingPredictor, ZeroOpenDurationFallsBackToTrainingMean) {
     ml::Matrix rows(2, 2);
     rows(0, 0) = rows(0, 1) = rows(1, 0) = rows(1, 1) = 1.0;
     std::vector<double> batch(2);
-    predictor.predict_delay_batch(rows, 0.0, batch);
+    predictor.predict_delay_batch(rows.view(), 0.0, batch);
     EXPECT_TRUE(same_bits(batch[0], at_mean));
     EXPECT_TRUE(same_bits(batch[1], at_mean));
   }

@@ -1,5 +1,5 @@
 // Int8 inference path: exact kernel equivalence across SIMD variants,
-// scalar/batch bit parity, fp32↔int8 quality (AUC delta bound), and the
+// scalar/batch bit parity, fp64↔int8 quality (AUC delta bound), and the
 // kQuantizedMlp bundle section under corruption and truncation.
 #include "ml/quant.hpp"
 
@@ -80,7 +80,7 @@ Matrix random_rows(util::Rng& rng, std::size_t rows, std::size_t cols) {
   return x;
 }
 
-TEST(QuantizedMlp, TracksTheFp32NetworkClosely) {
+TEST(QuantizedMlp, TracksTheFp64NetworkClosely) {
   const Mlp net = small_net();
   const QuantizedMlp quantized = QuantizedMlp::from(net);
   util::Rng rng(7);
@@ -134,7 +134,7 @@ TEST(QuantizedMlp, CalibrationOnlyChangesTheBiasTerm) {
   }
 }
 
-// ---------- quality: fp32 vs int8 AUC ----------
+// ---------- quality: fp64 vs int8 AUC ----------
 
 TEST(QuantizedMlp, VotePredictorAucDeltaWithinBound) {
   // Synthetic regression task with enough signal for a meaningful ranking:
@@ -167,8 +167,8 @@ TEST(QuantizedMlp, VotePredictorAucDeltaWithinBound) {
 
   core::VotePredictorConfig config;
   config.epochs = 30;
-  core::VotePredictor fp32(config);
-  fp32.fit(train_x, train_y);
+  core::VotePredictor fp64(config);
+  fp64.fit(train_x, train_y);
 
   // Same fitted master weights, int8 inference (the load-time regeneration
   // path — no calibration, the weaker of the two quantization modes).
@@ -177,7 +177,7 @@ TEST(QuantizedMlp, VotePredictorAucDeltaWithinBound) {
   int8.fit(train_x, train_y);
   int8.quantize_from_master();
   ASSERT_TRUE(int8.quantized());
-  ASSERT_FALSE(fp32.quantized());
+  ASSERT_FALSE(fp64.quantized());
 
   // Binarize at the median: AUC asks "do high-vote answers rank first?".
   std::vector<double> sorted = test_y;
@@ -185,18 +185,18 @@ TEST(QuantizedMlp, VotePredictorAucDeltaWithinBound) {
                    sorted.end());
   const double median = sorted[sorted.size() / 2];
   std::vector<int> labels(test_n);
-  std::vector<double> fp32_scores(test_n), int8_scores(test_n);
+  std::vector<double> fp64_scores(test_n), int8_scores(test_n);
   for (std::size_t i = 0; i < test_n; ++i) {
     labels[i] = test_y[i] > median ? 1 : 0;
-    fp32_scores[i] = fp32.predict(test_x[i]);
+    fp64_scores[i] = fp64.predict(test_x[i]);
     int8_scores[i] = int8.predict(test_x[i]);
   }
-  const double fp32_auc = eval::auc(fp32_scores, labels);
+  const double fp64_auc = eval::auc(fp64_scores, labels);
   const double int8_auc = eval::auc(int8_scores, labels);
-  EXPECT_GT(fp32_auc, 0.8) << "task must be learnable for the bound to mean "
+  EXPECT_GT(fp64_auc, 0.8) << "task must be learnable for the bound to mean "
                               "anything";
-  EXPECT_LE(std::abs(fp32_auc - int8_auc), 0.005)
-      << "fp32 " << fp32_auc << " vs int8 " << int8_auc;
+  EXPECT_LE(std::abs(fp64_auc - int8_auc), 0.005)
+      << "fp64 " << fp64_auc << " vs int8 " << int8_auc;
 }
 
 // ---------- serialization ----------

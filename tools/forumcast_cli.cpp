@@ -1205,7 +1205,7 @@ void usage() {
                "                       on the training rows and saved into the\n"
                "                       bundle (kQuantizedMlp section); on a bundle\n"
                "                       without that section it is regenerated from\n"
-               "                       the fp32 master weights at load\n"
+               "                       the fp64 master weights at load\n"
                "training (fit, predict, route, ingest):\n"
                "  --fit-threads N      training parallelism for every fit stage\n"
                "                       (0 = all cores). 1 (default) is bit-equal\n"
