@@ -99,8 +99,8 @@ void BM_VoteForwardInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_VoteForwardInt8)->Arg(64)->Arg(256)->Arg(1024);
 
-// Scalar forwards for the serving hot path's other shape: one row at a time
-// (the monitor / scalar-parity path).
+// One row at a time: the per-pair shape (ForecastPipeline::predict runs the
+// batch forwards as a batch of one).
 void BM_VoteForwardScalarFp32(benchmark::State& state) {
   const ml::Mlp net = vote_net();
   const ml::Matrix x = feature_rows(64);
@@ -117,9 +117,13 @@ void BM_VoteForwardScalarInt8(benchmark::State& state) {
   const ml::Mlp net = vote_net();
   const ml::QuantizedMlp quantized = ml::QuantizedMlp::from(net);
   const ml::Matrix x = feature_rows(64);
+  double out = 0.0;
   std::size_t r = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(quantized.forward(x.row(r)));
+    quantized.forward_batch_into(ml::one_row(x.row(r)),
+                                 ml::Tensor<double>(&out, 1, 1));
+    benchmark::DoNotOptimize(&out);
+    benchmark::ClobberMemory();
     r = (r + 1) % x.rows();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

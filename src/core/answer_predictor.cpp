@@ -23,8 +23,9 @@ void AnswerPredictor::fit(std::span<const std::vector<double>> rows,
 }
 
 double AnswerPredictor::predict_probability(std::span<const double> features) const {
-  FORUMCAST_CHECK(fitted());
-  return model_.predict_probability(scaler_.transform(features));
+  double probability = 0.0;
+  predict_probability_batch(ml::one_row(features), {&probability, 1});
+  return probability;
 }
 
 void AnswerPredictor::predict_probability_batch(ml::Tensor<const double> rows,

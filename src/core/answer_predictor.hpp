@@ -26,11 +26,12 @@ class AnswerPredictor {
   /// Trains on feature rows with binary labels (1 = answered).
   void fit(std::span<const std::vector<double>> rows, std::span<const int> labels);
 
-  /// P(a_{u,q} = 1 | x). Requires fit().
+  /// P(a_{u,q} = 1 | x). Requires fit(). A batch of one through
+  /// predict_probability_batch().
   double predict_probability(std::span<const double> features) const;
 
-  /// Batched form over raw (unscaled) feature rows; writes one probability
-  /// per row. Results match predict_probability() bit for bit.
+  /// The inference entry: raw (unscaled) feature rows in, one probability
+  /// per row out.
   void predict_probability_batch(ml::Tensor<const double> rows,
                                  std::span<double> out) const;
 

@@ -193,11 +193,12 @@ Prediction ForecastPipeline::predict(forum::UserId u, forum::QuestionId q) const
   FORUMCAST_CHECK(fitted());
   FORUMCAST_COUNTER_ADD("pipeline.predictions", 1);
   const auto x = extractor_->features(u, q);
+  const ml::Tensor<const double> row = ml::one_row(x);
   Prediction prediction;
-  prediction.answer_probability = answer_.predict_probability(x);
-  prediction.votes = vote_.predict(x);
-  prediction.delay_hours = timing_.predict_delay(x, question_open_duration(q));
-  if (prediction_observer_) prediction_observer_(u, q, prediction);
+  answer_.predict_probability_batch(row, {&prediction.answer_probability, 1});
+  vote_.predict_batch(row, {&prediction.votes, 1});
+  timing_.predict_delay_batch(row, question_open_duration(q),
+                              {&prediction.delay_hours, 1});
   return prediction;
 }
 

@@ -57,13 +57,6 @@ struct Prediction {
 using FeatureFn =
     std::function<std::vector<double>(forum::UserId, forum::QuestionId)>;
 
-/// Observer invoked after every scalar predict() with the scored pair and
-/// the resulting Prediction. This is the model-quality monitoring hook: the
-/// monitor (obs/monitor) registers itself here to ledger scalar-path
-/// predictions without core depending on the monitoring layer.
-using PredictionObserver = std::function<void(
-    forum::UserId, forum::QuestionId, const Prediction&)>;
-
 /// Callable scoring one question against many candidate users at once,
 /// returning one Prediction per candidate in order. The serving layer
 /// (serve::BatchScorer) provides an implementation backed by feature caching
@@ -95,7 +88,10 @@ class ForecastPipeline {
   void fit(const forum::Dataset& dataset,
            std::span<const forum::QuestionId> history_questions);
 
-  /// Scores any (u, q) of the fitted dataset. Requires fit().
+  /// Scores any (u, q) of the fitted dataset. Requires fit(). Builds x_{u,q}
+  /// with FeatureExtractor::features — the reference the serving caches are
+  /// checked against — and runs the three predictors' batch entries on it as
+  /// a batch of one, so it equals serve::BatchScorer::score bit for bit.
   Prediction predict(forum::UserId u, forum::QuestionId q) const;
 
   bool fitted() const { return extractor_ != nullptr; }
@@ -119,13 +115,6 @@ class ForecastPipeline {
     return baseline_;
   }
 
-  /// Installs (or clears, with nullptr) the scalar-path prediction observer.
-  /// Not synchronized against concurrent predict() calls — install before
-  /// serving starts, the same discipline BatchScorer::swap_model documents.
-  void set_prediction_observer(PredictionObserver observer) {
-    prediction_observer_ = std::move(observer);
-  }
-
   /// The dataset of the last fit(). Requires fit().
   const forum::Dataset& dataset() const;
 
@@ -146,14 +135,14 @@ class ForecastPipeline {
   /// Restores a pipeline from a bundle against `dataset`, which must match
   /// the fingerprint recorded at save time (named error otherwise). Runs
   /// zero fit stages; the loaded pipeline predicts bit-identically to the
-  /// one that saved the bundle, on both scalar and batch paths.
+  /// one that saved the bundle.
   static ForecastPipeline load(std::istream& in, const forum::Dataset& dataset);
 
   /// Switches vote-network inference to the int8 path, deriving the
   /// quantized net from the fp64 master weights if the bundle did not carry
   /// one. No-op when already quantized. Requires fit() (or load()). Not
-  /// synchronized against concurrent predict() — same discipline as
-  /// set_prediction_observer().
+  /// synchronized against concurrent predict() — call it before serving
+  /// starts, the same discipline BatchScorer::swap_model documents.
   void quantize_vote();
 
  private:
@@ -164,7 +153,6 @@ class ForecastPipeline {
   VotePredictor vote_;
   TimingPredictor timing_;
   features::FeatureBaseline baseline_;
-  PredictionObserver prediction_observer_;
   double last_post_time_ = 0.0;
   std::uint64_t generation_ = 0;
 };

@@ -275,38 +275,11 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
     std::vector<double> raw, observed;
     // Rows of one thread share Δ, so constant ω builds one grid per thread.
     SimpsonDelayGrid grid;
-    if (!batched) {
-      for (const auto& thread : scaled) {
-        for (const auto& [x, delay] : thread.answers) {
-          raw.push_back(raw_estimate(mu_of(x), omega_of(x), thread.delta, grid));
-          observed.push_back(delay);
-        }
-      }
-    } else {
-      // Same estimates in the same order from one batched forward per net.
-      std::size_t nrows = 0;
-      for (const auto& thread : scaled) nrows += thread.answers.size();
-      ml::Matrix xall, f_mu, g_omega;
-      xall.resize(nrows, dim);
-      std::vector<double> deltas(nrows);
-      std::size_t b = 0;
-      for (const auto& thread : scaled) {
-        for (const auto& [x, delay] : thread.answers) {
-          std::copy(x.begin(), x.end(), xall.row(b).begin());
-          deltas[b] = thread.delta;
-          observed.push_back(delay);
-          ++b;
-        }
-      }
-      f_net_->forward_batch_into(xall, f_mu);
-      if (g_net_) g_net_->forward_batch_into(xall, g_omega);
-      const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
-      raw.reserve(nrows);
-      for (std::size_t r = 0; r < nrows; ++r) {
-        const double omega_r =
-            g_net_ ? g_omega(r, 0) + kOmegaFloor : constant_omega;
-        raw.push_back(
-            raw_estimate(f_mu(r, 0) + kMuFloor, omega_r, deltas[r], grid));
+    for (const auto& thread : threads) {
+      for (const auto& answer : thread.answers) {
+        const auto [mu, omega] = rates(answer.features);
+        raw.push_back(raw_estimate(mu, omega, thread.open_duration, grid));
+        observed.push_back(answer.delay);
       }
     }
     const double n = static_cast<double>(raw.size());
@@ -337,22 +310,15 @@ double TimingPredictor::mean_log_likelihood(
     std::span<const TimingThread> threads) const {
   FORUMCAST_CHECK(fitted());
   FORUMCAST_CHECK(!threads.empty());
-  auto rate_params = [&](const std::vector<double>& features) {
-    const auto x = scaler_.transform(features);
-    const double mu = f_net_->forward(x)[0] + kMuFloor;
-    const double omega = g_net_ ? g_net_->forward(x)[0] + kOmegaFloor
-                                : ml::softplus(omega_rho_) + kOmegaFloor;
-    return std::pair<double, double>{mu, omega};
-  };
   double total = 0.0;
   for (const auto& thread : threads) {
     double ll = 0.0;
     for (const auto& answer : thread.answers) {
-      const auto [mu, omega] = rate_params(answer.features);
+      const auto [mu, omega] = rates(answer.features);
       ll += std::log(mu) - omega * answer.delay;
     }
     for (const auto& sample : thread.survival) {
-      const auto [mu, omega] = rate_params(sample.features);
+      const auto [mu, omega] = rates(sample.features);
       ll -= sample.weight * mu * survival_integral(omega, thread.open_duration);
     }
     total += ll;
@@ -407,18 +373,40 @@ double TimingPredictor::raw_estimate(double mu, double omega,
   return grid.eval(mu);
 }
 
+void TimingPredictor::rates(ml::Tensor<const double> rows,
+                            std::span<double> mu,
+                            std::span<double> omega) const {
+  FORUMCAST_CHECK(mu.size() == rows.rows() && omega.size() == rows.rows());
+  // Scaled rows live in the thread's workspace arena: transform_rows
+  // overwrites every element it exposes, so nothing stale leaks through.
+  ml::Workspace::Frame frame;
+  ml::Tensor<double> scaled =
+      frame.workspace().tensor<double>(rows.rows(), rows.cols());
+  scaler_.transform_rows(rows, scaled);
+  f_net_->forward_batch_into(scaled, ml::Tensor<double>(mu.data(), mu.size(), 1));
+  for (double& value : mu) value += kMuFloor;
+  if (g_net_) {
+    g_net_->forward_batch_into(
+        scaled, ml::Tensor<double>(omega.data(), omega.size(), 1));
+    for (double& value : omega) value += kOmegaFloor;
+  } else {
+    std::fill(omega.begin(), omega.end(),
+              ml::softplus(omega_rho_) + kOmegaFloor);
+  }
+}
+
+std::pair<double, double> TimingPredictor::rates(
+    std::span<const double> features) const {
+  double mu = 0.0, omega = 0.0;
+  rates(ml::one_row(features), {&mu, 1}, {&omega, 1});
+  return {mu, omega};
+}
+
 double TimingPredictor::predict_delay(std::span<const double> features,
                                       double open_duration) const {
-  FORUMCAST_CHECK(fitted());
-  if (open_duration <= 0.0) open_duration = mean_open_duration_;
-  const auto x = scaler_.transform(features);
-  const double mu = f_net_->forward(x)[0] + kMuFloor;
-  const double omega =
-      g_net_ ? g_net_->forward(x)[0] + kOmegaFloor
-             : ml::softplus(omega_rho_) + kOmegaFloor;
-  SimpsonDelayGrid grid;
-  const double raw = raw_estimate(mu, omega, open_duration, grid);
-  return std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
+  double delay = 0.0;
+  predict_delay_batch(ml::one_row(features), open_duration, {&delay, 1});
+  return delay;
 }
 
 void TimingPredictor::predict_delay_batch(ml::Tensor<const double> rows,
@@ -427,23 +415,14 @@ void TimingPredictor::predict_delay_batch(ml::Tensor<const double> rows,
   FORUMCAST_CHECK(fitted());
   FORUMCAST_CHECK(out.size() == rows.rows());
   if (open_duration <= 0.0) open_duration = mean_open_duration_;
-  // Scratch lives in the thread's workspace arena: transform_rows and
-  // forward_batch_into overwrite every element they expose, so nothing
-  // stale leaks through.
   ml::Workspace::Frame frame;
   ml::Workspace& ws = frame.workspace();
-  ml::Tensor<double> scaled = ws.tensor<double>(rows.rows(), rows.cols());
-  scaler_.transform_rows(rows, scaled);
-  ml::Tensor<double> mu = ws.tensor<double>(rows.rows(), 1);
-  ml::Tensor<double> omega = ws.tensor<double>(rows.rows(), 1);
-  f_net_->forward_batch_into(scaled, mu);
-  if (g_net_) g_net_->forward_batch_into(scaled, omega);
-  const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
+  const std::span<double> mu{ws.alloc<double>(rows.rows()), rows.rows()};
+  const std::span<double> omega{ws.alloc<double>(rows.rows()), rows.rows()};
+  rates(rows, mu, omega);
   SimpsonDelayGrid grid;  // constant ω: one grid for every row
   for (std::size_t r = 0; r < rows.rows(); ++r) {
-    const double omega_r = g_net_ ? omega(r, 0) + kOmegaFloor : constant_omega;
-    const double raw =
-        raw_estimate(mu(r, 0) + kMuFloor, omega_r, open_duration, grid);
+    const double raw = raw_estimate(mu[r], omega[r], open_duration, grid);
     out[r] = std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
   }
 }
@@ -496,11 +475,7 @@ double TimingPredictor::cumulative_intensity(std::span<const double> features,
                                              double horizon_hours) const {
   FORUMCAST_CHECK(fitted());
   FORUMCAST_CHECK(horizon_hours >= 0.0);
-  const auto x = scaler_.transform(features);
-  const double mu = f_net_->forward(x)[0] + kMuFloor;
-  const double omega =
-      g_net_ ? g_net_->forward(x)[0] + kOmegaFloor
-             : ml::softplus(omega_rho_) + kOmegaFloor;
+  const auto [mu, omega] = rates(features);
   return mu * survival_integral(omega, horizon_hours);
 }
 
@@ -511,13 +486,12 @@ double TimingPredictor::probability_answer_within(
 
 double TimingPredictor::excitation(std::span<const double> features) const {
   FORUMCAST_CHECK(fitted());
-  return f_net_->forward(scaler_.transform(features))[0] + kMuFloor;
+  return rates(features).first;
 }
 
 double TimingPredictor::decay(std::span<const double> features) const {
   FORUMCAST_CHECK(fitted());
-  if (!g_net_) return ml::softplus(omega_rho_) + kOmegaFloor;
-  return g_net_->forward(scaler_.transform(features))[0] + kOmegaFloor;
+  return rates(features).second;
 }
 
 }  // namespace forumcast::core

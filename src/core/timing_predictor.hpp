@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "artifact/artifact.hpp"
@@ -111,16 +112,17 @@ class TimingPredictor {
 
   /// Predicted delay r̂ in hours for a pair with feature vector `features`
   /// whose question has been (or will be) open for `open_duration` hours.
+  /// A batch of one through predict_delay_batch().
   double predict_delay(std::span<const double> features,
                        double open_duration) const;
 
-  /// Batched form over raw (unscaled) feature rows sharing one question (and
-  /// hence one open duration); writes one delay per row. Both rate networks
-  /// run as blocked-GEMM forwards; matches predict_delay() bit for bit.
+  /// The inference entry: raw (unscaled) feature rows sharing one question
+  /// (and hence one open duration); writes one delay per row. Both rate
+  /// networks run as blocked-GEMM forwards.
   void predict_delay_batch(ml::Tensor<const double> rows, double open_duration,
                            std::span<double> out) const;
 
-  /// Rate parameters for a pair (diagnostics / tests).
+  /// Rate parameters for a pair (diagnostics / tests), each a batch of one.
   double excitation(std::span<const double> features) const;  ///< μ
   double decay(std::span<const double> features) const;       ///< ω
 
@@ -147,6 +149,15 @@ class TimingPredictor {
   static TimingPredictor decode(artifact::Decoder& dec);
 
  private:
+  /// The inference rule, batched: scales raw `rows` and writes
+  /// μ = f(x) + 1e-6 and ω = g(x) + 1e-4 (softplus(ρ) + 1e-4 for constant ω)
+  /// per row. Every inference site goes through it; only the training loops
+  /// run their own forwards.
+  void rates(ml::Tensor<const double> rows, std::span<double> mu,
+             std::span<double> omega) const;
+  /// {μ, ω} for one raw feature row — rates() on a batch of one.
+  std::pair<double, double> rates(std::span<const double> features) const;
+
   /// Uncalibrated r̂. `grid` carries the Simpson grid across calls, so rows
   /// sharing (ω, Δ) build it once.
   double raw_estimate(double mu, double omega, double open_duration,

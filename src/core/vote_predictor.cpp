@@ -139,11 +139,9 @@ void VotePredictor::install_quantized(ml::QuantizedMlp net) {
 }
 
 double VotePredictor::predict(std::span<const double> features) const {
-  FORUMCAST_CHECK(fitted());
-  const std::vector<double> scaled = scaler_.transform(features);
-  const auto output =
-      quantized_ ? quantized_->forward(scaled) : network_->forward(scaled);
-  return output[0] * target_scale_ + target_mean_;
+  double votes = 0.0;
+  predict_batch(ml::one_row(features), {&votes, 1});
+  return votes;
 }
 
 void VotePredictor::predict_batch(ml::Tensor<const double> rows,

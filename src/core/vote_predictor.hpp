@@ -49,10 +49,11 @@ class VotePredictor {
   void fit(std::span<const std::vector<double>> rows,
            std::span<const double> targets);
 
+  /// v̂ for one raw feature row — a batch of one through predict_batch().
   double predict(std::span<const double> features) const;
 
-  /// Batched form over raw (unscaled) feature rows; writes one estimate per
-  /// row. One blocked-GEMM forward pass; matches predict() bit for bit.
+  /// The inference entry: raw (unscaled) feature rows in, one estimate per
+  /// row out. One blocked-GEMM (or int8) forward pass.
   void predict_batch(ml::Tensor<const double> rows, std::span<double> out) const;
 
   bool fitted() const { return fitted_; }

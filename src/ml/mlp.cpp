@@ -152,17 +152,6 @@ std::vector<double> Mlp::forward(std::span<const double> x, Tape& tape) const {
   return std::vector<double>(current, current + output_dim());
 }
 
-Matrix Mlp::forward_batch(const Matrix& x) const {
-  Matrix out;
-  forward_batch_into(x, out);
-  return out;
-}
-
-void Mlp::forward_batch_into(const Matrix& x, Matrix& out) const {
-  out.resize(x.rows(), output_dim());
-  forward_batch_into(x.view(), out.view());
-}
-
 void Mlp::forward_batch_into(Tensor<const double> x, Tensor<double> out) const {
   FORUMCAST_CHECK_MSG(x.cols() == input_dim_,
                       "input dim " << x.cols() << " != " << input_dim_);

@@ -68,22 +68,13 @@ class Mlp {
   std::vector<double> forward(std::span<const double> x) const;
 
   /// Inference-only forward pass over a batch: `x` holds one sample per row
-  /// (cols == input_dim). Each layer is one blocked GEMM against the layer's
-  /// weight matrix (gemm_nt seeds outputs with the bias, so per-sample sums
-  /// accumulate in exactly the order of the scalar forward() — results are
-  /// bit-identical). Returns rows() × output_dim().
-  Matrix forward_batch(const Matrix& x) const;
-
-  /// forward_batch writing into `out` (reshaped to rows() × output_dim()),
-  /// with hidden-layer intermediates carved from the calling thread's
-  /// Workspace arena — a steady-state serving loop allocates nothing, and no
-  /// computed value changes (gemm_nt seeds every output with the bias, so
-  /// unspecified scratch contents are never read). `out` must not alias `x`.
-  void forward_batch_into(const Matrix& x, Matrix& out) const;
-
-  /// Tensor-view core of the above: writes x.rows() × output_dim() values
-  /// into `out` (which must already have that shape). Arena-friendly entry
-  /// point for callers whose batch already lives in the Workspace.
+  /// (cols == input_dim); writes x.rows() × output_dim() values into `out`
+  /// (which must already have that shape and must not alias `x`). Each layer
+  /// is one blocked GEMM against the layer's weight matrix (gemm_nt seeds
+  /// outputs with the bias, so per-sample sums accumulate in exactly the
+  /// order of the scalar forward() — results are bit-identical). Hidden-layer
+  /// intermediates come from the calling thread's Workspace arena, so a
+  /// steady-state serving loop allocates nothing.
   void forward_batch_into(Tensor<const double> x, Tensor<double> out) const;
 
   /// Forward pass that fills `tape` for a subsequent backward().

@@ -658,12 +658,4 @@ void QuantizedMlp::forward_batch_into(Tensor<const double> x,
   }
 }
 
-std::vector<double> QuantizedMlp::forward(std::span<const double> x) const {
-  FORUMCAST_CHECK(x.size() == input_dim_);
-  Workspace::Frame frame;
-  Tensor<double> out = frame.workspace().tensor<double>(1, output_dim());
-  forward_batch_into(Tensor<const double>(x.data(), 1, input_dim_), out);
-  return std::vector<double>(out.data(), out.data() + output_dim());
-}
-
 }  // namespace forumcast::ml

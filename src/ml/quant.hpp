@@ -19,18 +19,18 @@
 //     calibration (e.g. a bundle quantized at load), the correction is zero.
 //
 // Batch invariance: row scales depend only on that row and integer
-// accumulation is exact, so a sample scored alone is bit-identical to the
-// same sample scored inside any batch — the scalar/batch digest parity the
-// serving path CHECKs survives quantization. For the same reason every
-// int8 kernel (scalar, AVX2, packed-B AVX-512 VNNI) returns identical bits:
-// they differ only in how they schedule exact integer adds.
+// accumulation is exact, so a sample scored alone (a batch of one) is
+// bit-identical to the same sample scored inside any batch — the
+// per-pair/batch digest parity the serving path CHECKs survives
+// quantization. For the same reason every int8 kernel (scalar, AVX2,
+// packed-B AVX-512 VNNI) returns identical bits: they differ only in how
+// they schedule exact integer adds.
 //
 // Weight rows are stored padded with zeros to a multiple of kPad so the SIMD
 // kernels need no tail handling; zero products are exact no-ops.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "ml/activations.hpp"
@@ -106,12 +106,9 @@ class QuantizedMlp {
   const std::vector<QuantizedLayer>& quantized_layers() const { return layers_; }
 
   /// Batched forward: x is rows × input_dim, out must be rows × output_dim.
-  /// Scratch lives in the calling thread's Workspace arena.
+  /// Scratch lives in the calling thread's Workspace arena. A row's output
+  /// does not depend on the other rows in the batch.
   void forward_batch_into(Tensor<const double> x, Tensor<double> out) const;
-
-  /// Scalar forward — a batch of one, bit-identical to the same row scored
-  /// inside any forward_batch_into call.
-  std::vector<double> forward(std::span<const double> x) const;
 
  private:
   std::size_t input_dim_ = 0;

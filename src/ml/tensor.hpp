@@ -88,4 +88,10 @@ class Tensor {
   std::size_t stride_ = 0;
 };
 
+/// One sample as a 1 × size view: the batch-of-one form through which the
+/// per-row predictor entry points reach their batch forwards.
+inline Tensor<const double> one_row(std::span<const double> row) {
+  return Tensor<const double>(row.data(), 1, row.size());
+}
+
 }  // namespace forumcast::ml

@@ -2,7 +2,7 @@
 // serve::BatchScorer batches.
 //
 // The serving daemon's throughput story: single-pair scoring costs a full
-// feature assembly + three scalar model forwards, while BatchScorer
+// feature assembly + three one-row model forwards, while BatchScorer
 // amortizes both across a block of rows. Wire requests arrive a few
 // candidates at a time. The batcher is work-conserving: an idle worker takes
 // whatever is queued (up to `max_batch_requests`) at once, so a lone request

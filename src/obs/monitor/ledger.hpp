@@ -1,6 +1,6 @@
 // Prediction ledger: the bounded memory of what the model claimed.
 //
-// Every served prediction — batch or scalar path — is recorded here as one
+// Every prediction served through BatchScorer is recorded here as one
 // LedgerEntry; when ground truth arrives on the event stream (a NewAnswer),
 // the label-join resolves the question's pending entries into labeled
 // outcomes. The ring is bounded: a prediction whose outcome never arrives

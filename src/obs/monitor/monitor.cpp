@@ -74,24 +74,6 @@ void QualityMonitor::advance_clock_locked(double event_time_hours) {
   if (!last_eval_hours_) last_eval_hours_ = clock_hours_;
 }
 
-void QualityMonitor::record(forum::UserId user, forum::QuestionId question,
-                            const core::Prediction& prediction,
-                            std::uint64_t model_epoch) {
-  if constexpr (!kEnabled) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ledger_.record({.question = question,
-                  .user = user,
-                  .answer_probability = prediction.answer_probability,
-                  .votes = prediction.votes,
-                  .delay_hours = prediction.delay_hours,
-                  .model_epoch = model_epoch,
-                  .record_time_hours = clock_hours_});
-  if (feature_fn_ && drift_.has_baseline() &&
-      ledger_.recorded() % config_.drift_sample_every == 0) {
-    drift_.observe(feature_fn_(user, question));
-  }
-}
-
 void QualityMonitor::record_batch(forum::QuestionId question,
                                   std::span<const forum::UserId> users,
                                   std::span<const core::Prediction> predictions,

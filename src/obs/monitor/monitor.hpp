@@ -1,6 +1,6 @@
 // QualityMonitor: the live model-quality layer tying the pieces together.
 //
-//   serving path ──record()/record_batch()──▶ PredictionLedger
+//   serving path ──record_batch()──▶ PredictionLedger
 //   event stream ──observe_answer()/observe_vote()──▶ label-join ──▶
 //       ScoreReservoir (AUC) · CalibrationHistogram (ECE) ·
 //       RollingWindow (vote RMSE, timing log-likelihood)
@@ -23,7 +23,7 @@
 // hot path pays that lock plus O(users) ring writes per batch — measured
 // against the < 5% ingest-overhead budget by bench/monitor.cpp.
 //
-// FORUMCAST_OBS=OFF: record/observe/evaluate return immediately (the
+// FORUMCAST_OBS=OFF: record_batch/observe/evaluate return immediately (the
 // acceptance-criteria no-op form); the pure components above stay fully
 // functional for their own tests.
 #pragma once
@@ -109,10 +109,6 @@ class QualityMonitor {
   /// Called on the serving thread under the monitor lock, every
   /// drift_sample_every-th recorded prediction.
   void set_feature_fn(core::FeatureFn fn);
-
-  /// Ledger one scalar-path prediction.
-  void record(forum::UserId user, forum::QuestionId question,
-              const core::Prediction& prediction, std::uint64_t model_epoch);
 
   /// Ledger one batch (BatchScorer::score output), entries in user order —
   /// insertion order into the AUC reservoir is the call order, independent

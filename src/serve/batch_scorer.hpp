@@ -1,12 +1,12 @@
 // Batched scoring engine: one question × N candidate users in one pass.
 //
-// The scalar reference path (ForecastPipeline::predict) pays, per pair, a
-// feature rebuild, three scaler allocations, and four per-sample MLP
-// forwards. BatchScorer instead assembles the N × (18 + 2K) feature matrix
-// from a FeatureCache and pushes whole row blocks through each predictor's
-// batch entry point — the MLP forwards become blocked GEMMs
-// (ml::gemm_nt) — sharded across util::parallel_for. Scores are
-// bit-identical to the scalar path; it is purely an execution-layout change.
+// The per-pair reference path (ForecastPipeline::predict) rebuilds x_{u,q}
+// from scratch and runs each predictor's batch entry on a batch of one.
+// BatchScorer instead assembles the N × (18 + 2K) feature matrix from a
+// FeatureCache and pushes whole row blocks through the same batch entries —
+// the MLP forwards become blocked GEMMs (ml::gemm_nt) — sharded across
+// util::parallel_for. Scores are bit-identical to the per-pair path; it is
+// purely an execution-layout change.
 //
 // Thread safety: concurrent score() calls are safe. Cache fills run under a
 // writer lock, matrix assembly and model forwards under a reader lock; the

@@ -132,6 +132,17 @@ std::size_t LiveState::apply_locked(ForumEvent event, bool durable) {
                                       << last_event_time_);
 
   features::FeatureExtractor& extractor = pipeline_.extractor_mutable();
+  // Validate before any mutation: a rejected event must leave the dataset as
+  // a replay of the log would rebuild it.
+  if (event.type != EventType::kNewQuestion) {
+    FORUMCAST_CHECK_MSG(event.question < dataset_.num_questions(),
+                        "event on unknown question " << event.question);
+    const bool answer_level = event.type == EventType::kNewAnswer ||
+                              event.answer_index >= 0;
+    FORUMCAST_CHECK_MSG(!answer_level || extractor.in_window(event.question),
+                        "answer-level event on question "
+                            << event.question << " outside the fit window");
+  }
   const auto start = std::chrono::steady_clock::now();
   switch (event.type) {
     case EventType::kNewQuestion: {
@@ -149,8 +160,6 @@ std::size_t LiveState::apply_locked(ForumEvent event, bool durable) {
       break;
     }
     case EventType::kNewAnswer: {
-      FORUMCAST_CHECK_MSG(event.question < dataset_.num_questions(),
-                          "answer to unknown question " << event.question);
       const std::size_t index =
           dataset_.append_answer(event.question, post_from_event(event));
       event.answer_index = static_cast<std::int32_t>(index);
@@ -175,8 +184,6 @@ std::size_t LiveState::apply_locked(ForumEvent event, bool durable) {
       break;
     }
     case EventType::kVote: {
-      FORUMCAST_CHECK_MSG(event.question < dataset_.num_questions(),
-                          "vote on unknown question " << event.question);
       dataset_.apply_vote(event.question, event.answer_index,
                           event.vote_delta);
       if (event.answer_index < 0) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,6 +81,14 @@ Matrix random_rows(util::Rng& rng, std::size_t rows, std::size_t cols) {
   return x;
 }
 
+// One row scored alone: a batch of one through forward_batch_into.
+double forward_one(const QuantizedMlp& net, std::span<const double> x) {
+  Workspace::Frame frame;
+  Tensor<double> out = frame.workspace().tensor<double>(1, net.output_dim());
+  net.forward_batch_into(one_row(x), out);
+  return out(0, 0);
+}
+
 TEST(QuantizedMlp, TracksTheFp64NetworkClosely) {
   const Mlp net = small_net();
   const QuantizedMlp quantized = QuantizedMlp::from(net);
@@ -87,7 +96,7 @@ TEST(QuantizedMlp, TracksTheFp64NetworkClosely) {
   const Matrix x = random_rows(rng, 64, net.input_dim());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const double exact = net.forward(x.row(r))[0];
-    const double approx = quantized.forward(x.row(r))[0];
+    const double approx = forward_one(quantized, x.row(r));
     // Freshly initialized weights live in ~[-0.5, 0.5]; two int8 layers keep
     // the error well inside this envelope.
     EXPECT_NEAR(approx, exact, 0.05) << "row " << r;
@@ -95,9 +104,9 @@ TEST(QuantizedMlp, TracksTheFp64NetworkClosely) {
 }
 
 TEST(QuantizedMlp, ScalarEqualsBatchBitForBit) {
-  // The serving digest CHECKs scalar/batch parity; the quantized path must
-  // preserve it. Per-row dynamic scales + exact int32 accumulation make the
-  // batch layout irrelevant to the result.
+  // The serving digest CHECKs per-pair/batch parity, and a per-pair score is
+  // a batch of one; the quantized path must preserve it. Per-row dynamic
+  // scales + exact int32 accumulation make the batch layout irrelevant.
   const Mlp net = small_net();
   const QuantizedMlp quantized = QuantizedMlp::from(net);
   util::Rng rng(13);
@@ -107,7 +116,7 @@ TEST(QuantizedMlp, ScalarEqualsBatchBitForBit) {
       frame.workspace().tensor<double>(x.rows(), quantized.output_dim());
   quantized.forward_batch_into(x.view(), batch_out);
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double scalar = quantized.forward(x.row(r))[0];
+    const double scalar = forward_one(quantized, x.row(r));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar),
               std::bit_cast<std::uint64_t>(batch_out(r, 0)))
         << "row " << r;
@@ -232,8 +241,8 @@ TEST(QuantizedMlpSerialize, RoundTripsBitIdentically) {
   const Matrix probe = random_rows(rng, 16, net.input_dim());
   for (std::size_t r = 0; r < probe.rows(); ++r) {
     EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(original.forward(probe.row(r))[0]),
-        std::bit_cast<std::uint64_t>(decoded.forward(probe.row(r))[0]));
+        std::bit_cast<std::uint64_t>(forward_one(original, probe.row(r))),
+        std::bit_cast<std::uint64_t>(forward_one(decoded, probe.row(r))));
   }
 }
 

@@ -61,7 +61,8 @@ TEST(Serialize, MlpRoundTripPreservesPredictions) {
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (double& v : x.row(r)) v = rng.normal();
   }
-  const Matrix batch = loaded.forward_batch(x);
+  Matrix batch(x.rows(), loaded.output_dim());
+  loaded.forward_batch_into(x.view(), batch.view());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto a = original.forward(x.row(r));
     const auto b = loaded.forward(x.row(r));

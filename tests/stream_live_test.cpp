@@ -45,15 +45,17 @@ core::PipelineConfig fast_pipeline_config() {
   return config;
 }
 
-// A forum split at day 22 with the pipeline fitted on the base part. Each
-// test owns its own instance because ingestion mutates base + pipeline in
-// place; construction is deterministic, so two instances start identical.
+// A forum split at day 22 with the pipeline fitted on the base part (less
+// its first `unfitted_questions` questions). Each test owns its own instance
+// because ingestion mutates base + pipeline in place; construction is
+// deterministic, so two instances start identical.
 struct LiveCase {
   forum::Dataset base;
   std::vector<ForumEvent> events;
   core::ForecastPipeline pipeline;
 
-  explicit LiveCase(core::PipelineConfig pipeline_config = fast_pipeline_config())
+  explicit LiveCase(core::PipelineConfig pipeline_config = fast_pipeline_config(),
+                    std::size_t unfitted_questions = 0)
       : pipeline(pipeline_config) {
     forum::GeneratorConfig config;
     config.num_users = 120;
@@ -64,7 +66,10 @@ struct LiveCase {
     base = std::move(split.base);
     events = std::move(split.events);
     FORUMCAST_CHECK(!events.empty());
-    pipeline.fit(base, all_questions(base));
+    auto window = all_questions(base);
+    window.erase(window.begin(),
+                 window.begin() + static_cast<std::ptrdiff_t>(unfitted_questions));
+    pipeline.fit(base, window);
   }
 
   static std::vector<forum::QuestionId> all_questions(
@@ -468,10 +473,15 @@ TEST(StreamLive, SnapshotsReferenceTheModelBundle) {
 }
 
 TEST(StreamLive, RejectsInvalidEventsButKeepsThePrefix) {
-  LiveCase c;
+  // Question 0 is left out of the fit window, so answer-level events on it
+  // are invalid; the prefix below never touches it.
+  LiveCase c(fast_pipeline_config(), /*unfitted_questions=*/1);
   LiveState live(c.pipeline, c.base);
 
   std::vector<ForumEvent> batch(c.events.begin(), c.events.begin() + 3);
+  for (const ForumEvent& event : batch) {
+    ASSERT_TRUE(event.type == EventType::kNewQuestion || event.question != 0);
+  }
   ForumEvent stale = c.events[3];
   stale.timestamp_hours = 1.0;  // far before the fitted horizon
   batch.push_back(stale);
@@ -492,12 +502,36 @@ TEST(StreamLive, RejectsInvalidEventsButKeepsThePrefix) {
       static_cast<forum::QuestionId>(c.base.num_questions() + 999);
   EXPECT_THROW(live.ingest({{bad_question}}), util::CheckError);
 
+  // Answer-level events on a question outside the fit window are refused
+  // before they touch the dataset: the thread keeps its answers and votes.
+  ASSERT_FALSE(c.base.thread(0).answers.empty());
+  const std::size_t answers_before = c.base.thread(0).answers.size();
+  const auto votes_before = c.base.thread(0).answers[0].net_votes;
+
+  ForumEvent outside_answer;
+  outside_answer.type = EventType::kNewAnswer;
+  outside_answer.timestamp_hours = c.events.back().timestamp_hours + 1.0;
+  outside_answer.user = 1;
+  outside_answer.question = 0;
+  EXPECT_THROW(live.ingest({{outside_answer}}), util::CheckError);
+
+  ForumEvent outside_vote;
+  outside_vote.type = EventType::kVote;
+  outside_vote.timestamp_hours = c.events.back().timestamp_hours + 1.0;
+  outside_vote.question = 0;
+  outside_vote.answer_index = 0;
+  outside_vote.vote_delta = 1;
+  EXPECT_THROW(live.ingest({{outside_vote}}), util::CheckError);
+
+  EXPECT_EQ(c.base.thread(0).answers.size(), answers_before);
+  EXPECT_EQ(c.base.thread(0).answers[0].net_votes, votes_before);
+
   ForumEvent gap = c.events[4];
   gap.seq = 99;  // not last_seq + 1
   EXPECT_THROW(live.ingest({{gap}}), util::CheckError);
 
   // Still consistent: digest equals a clean replay of the same 3 events.
-  LiveCase c2;
+  LiveCase c2(fast_pipeline_config(), /*unfitted_questions=*/1);
   LiveState clean(c2.pipeline, c2.base);
   clean.ingest(std::span<const ForumEvent>(c2.events).first(3));
   EXPECT_EQ(live.digest(), clean.digest());

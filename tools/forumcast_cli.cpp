@@ -56,6 +56,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -160,21 +161,40 @@ void apply_centrality_flags(core::PipelineConfig& config, const Args& args) {
   centrality.num_pivots = static_cast<std::size_t>(pivots);
 }
 
-core::ForecastPipeline fit_pipeline(const forum::Dataset& dataset,
-                                    const Args& args) {
-  const int history_days = static_cast<int>(args.get_int("history-days", 25));
-  FORUMCAST_CHECK_MSG(history_days >= 1, "--history-days must be >= 1");
+// The training flags every fitting command shares: --lda-iterations,
+// --seed, --fit-threads and the centrality flags.
+core::PipelineConfig pipeline_config(const Args& args) {
   core::PipelineConfig config;
   config.extractor.lda.iterations =
       static_cast<std::size_t>(args.get_int("lda-iterations", 50));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
   config.fit_threads =
       static_cast<std::size_t>(args.get_int("fit-threads", 1));
+  apply_centrality_flags(config, args);
+  return config;
+}
+
+// The ingest commands fit on every question of the base dataset: the event
+// stream extends that window, it never re-windows it.
+core::ForecastPipeline fit_all_questions(const forum::Dataset& dataset,
+                                         const Args& args) {
+  core::ForecastPipeline pipeline(pipeline_config(args));
+  std::vector<forum::QuestionId> window(dataset.num_questions());
+  std::iota(window.begin(), window.end(), forum::QuestionId{0});
+  std::cout << "fitting on " << window.size() << " threads...\n";
+  pipeline.fit(dataset, window);
+  return pipeline;
+}
+
+core::ForecastPipeline fit_pipeline(const forum::Dataset& dataset,
+                                    const Args& args) {
+  const int history_days = static_cast<int>(args.get_int("history-days", 25));
+  FORUMCAST_CHECK_MSG(history_days >= 1, "--history-days must be >= 1");
+  core::PipelineConfig config = pipeline_config(args);
   // Fit-time quantization calibrates bias correction on the training rows —
   // strictly better than the load-time regeneration obtain_pipeline falls
   // back to for pre-quantization bundles.
   config.vote.quantize = args.get_switch("quantize");
-  apply_centrality_flags(config, args);
   core::ForecastPipeline pipeline(config);
   const auto history = dataset.questions_in_days(1, history_days);
   FORUMCAST_CHECK_MSG(!history.empty(), "no questions in days 1-" << history_days);
@@ -420,20 +440,7 @@ int cmd_ingest(const Args& args) {
   if (!model_in.empty()) {
     pipeline = load_bundle(dataset, model_in);
   } else {
-    core::PipelineConfig config;
-    config.extractor.lda.iterations =
-        static_cast<std::size_t>(args.get_int("lda-iterations", 50));
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
-    config.fit_threads =
-        static_cast<std::size_t>(args.get_int("fit-threads", 1));
-    apply_centrality_flags(config, args);
-    pipeline = core::ForecastPipeline(config);
-    std::vector<forum::QuestionId> window(dataset.num_questions());
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      window[i] = static_cast<forum::QuestionId>(i);
-    }
-    std::cout << "fitting on " << window.size() << " threads...\n";
-    pipeline.fit(dataset, window);
+    pipeline = fit_all_questions(dataset, args);
   }
 
   stream::LiveStateConfig live_config;
@@ -476,11 +483,6 @@ int cmd_ingest(const Args& args) {
     monitor->set_feature_fn([&pipeline](forum::UserId u, forum::QuestionId q) {
       return pipeline.extractor().features(u, q);
     });
-    pipeline.set_prediction_observer(
-        [&pipeline, &monitor](forum::UserId u, forum::QuestionId q,
-                              const core::Prediction& p) {
-          monitor->record(u, q, p, pipeline.generation());
-        });
     scorer.set_monitor(&*monitor);
     live.attach_monitor(&*monitor);
 
@@ -564,7 +566,6 @@ int cmd_ingest(const Args& args) {
     std::cout << report.to_string();
     live.attach_monitor(nullptr);
     scorer.set_monitor(nullptr);
-    pipeline.set_prediction_observer(nullptr);
   }
   print_cache_stats(scorer);
   live.detach(&scorer);
@@ -774,22 +775,8 @@ int run_ingest_daemon(const Args& args) {
     std::cout << "using model bundle " << model_in << " ("
               << bundle_bytes.size() << " bytes)\n";
   } else {
-    core::PipelineConfig config;
-    config.extractor.lda.iterations =
-        static_cast<std::size_t>(args.get_int("lda-iterations", 50));
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
-    config.fit_threads =
-        static_cast<std::size_t>(args.get_int("fit-threads", 1));
-    apply_centrality_flags(config, args);
-    core::ForecastPipeline fitted(config);
-    std::vector<forum::QuestionId> window(base.num_questions());
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      window[i] = static_cast<forum::QuestionId>(i);
-    }
-    std::cout << "fitting on " << window.size() << " threads...\n";
-    fitted.fit(base, window);
     std::ostringstream out;
-    fitted.save(out);
+    fit_all_questions(base, args).save(out);
     bundle_bytes = std::move(out).str();
   }
 
