@@ -11,7 +11,8 @@
 //   - Accumulation: int32, exact (127·127·fan_in is far below 2^31 for
 //     feature-vector-scale nets). Dequantize as
 //       y[r][u] = acc · (scale_x[r]·scale_w[u]) + bias[u] + bias_corr[u]
-//     in fp64, then the fp64 activation.
+//     in fp64 (the first multiply-add fused on FMA targets), then the fp64
+//     activation.
 //   - Bias correction: quantization error W − scale·q has a nonzero mean
 //     effect under the training input distribution. With calibration data,
 //     bias_corr[u] = Σ_i (W[u][i] − scale_u·q[u][i]) · μ_i where μ is the
@@ -22,12 +23,17 @@
 // accumulation is exact, so a sample scored alone (a batch of one) is
 // bit-identical to the same sample scored inside any batch — the
 // per-pair/batch digest parity the serving path CHECKs survives
-// quantization. For the same reason every int8 kernel (scalar, AVX2,
-// packed-B AVX-512 VNNI) returns identical bits: they differ only in how
-// they schedule exact integer adds.
+// quantization.
 //
-// Weight rows are stored padded with zeros to a multiple of kPad so the SIMD
-// kernels need no tail handling; zero products are exact no-ops.
+// Dispatch: one decision per process. Builds with AVX-512 F/VL/BW/VNNI, on
+// CPUs that report all four, run the packed VNNI path (vector quantizer,
+// packed-B dpbusd gemm, vector dequantizer); every other host runs the
+// scalar reference path. Both return identical bits: the vector kernels
+// repeat the reference's per-element IEEE operations and only reschedule
+// exact integer adds.
+//
+// Weight rows are stored padded with zeros to a multiple of kPad so the
+// vector kernels need no tail handling; zero products are exact no-ops.
 #pragma once
 
 #include <cstdint>
@@ -40,24 +46,14 @@
 
 namespace forumcast::ml {
 
-/// c(n×m) = a(n×k) · b(m×k)^T in exact int32 arithmetic. Row strides
-/// lda/ldb/ldc are in elements; k must cover any zero padding shared by both
-/// operands. All variants are bit-identical; gemm_s8() returns the widest
-/// row-major kernel the CPU supports (AVX2 on VNNI hosts too: the VNNI
-/// kernel only runs inside QuantizedMlp, on its packed weight layout).
-using GemmS8Fn = void (*)(std::size_t n, std::size_t m, std::size_t k,
-                          const std::int8_t* a, std::size_t lda,
-                          const std::int8_t* b, std::size_t ldb,
-                          std::int32_t* c, std::size_t ldc);
-
+/// The reference gemm: c(n×m) = a(n×k) · b(m×k)^T in exact int32
+/// arithmetic. Row strides lda/ldb/ldc are in elements.
 void gemm_s8_scalar(std::size_t n, std::size_t m, std::size_t k,
                     const std::int8_t* a, std::size_t lda, const std::int8_t* b,
                     std::size_t ldb, std::int32_t* c, std::size_t ldc);
 
-/// The row-major variant selected for this CPU at first use.
-GemmS8Fn gemm_s8();
-/// Name of the kernel QuantizedMlp runs on this CPU ("scalar", "avx2", or
-/// "avx512vnni" for the packed-B path).
+/// Name of the path QuantizedMlp runs on this host: "avx512vnni" (packed
+/// VNNI) or "scalar" (the reference).
 const char* gemm_s8_variant();
 
 /// One quantized layer: padded int8 weights plus everything needed to
@@ -84,8 +80,8 @@ struct QuantizedLayer {
 
 class QuantizedMlp {
  public:
-  /// Weight-row padding granularity: 64 int8 lanes (one zmm register) also
-  /// divides evenly into the AVX2 kernel's 32-lane steps.
+  /// Weight-row padding granularity: 64 int8 lanes, one zmm register — a
+  /// whole number of the packed kernel's 4-lane dpbusd groups.
   static constexpr std::size_t kPad = 64;
 
   /// Quantizes `net` with zero bias correction (no calibration data — the

@@ -4,11 +4,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -47,6 +50,24 @@ void write_all(int fd, const char* data, std::size_t size,
     size -= static_cast<std::size_t>(written);
   }
 }
+
+// Owns a file descriptor so every error path releases it; close() is the
+// success path, where the caller must learn whether the close failed.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  int get() const { return fd_; }
+  bool close() { return ::close(std::exchange(fd_, -1)) == 0; }
+
+ private:
+  int fd_;
+};
 
 }  // namespace
 
@@ -161,15 +182,26 @@ ReplayResult replay_wal(const std::string& path) {
 
 void write_file_atomic(const std::string& path, std::string_view contents) {
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  FORUMCAST_CHECK_MSG(fd >= 0, "cannot write " + tmp + ": " +
-                                   std::strerror(errno));
-  write_all(fd, contents.data(), contents.size(), tmp);
-  FORUMCAST_CHECK_MSG(::fsync(fd) == 0, "fsync failed: " + tmp + ": " +
-                                            std::strerror(errno));
-  ::close(fd);
+  ScopedFd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
+  FORUMCAST_CHECK_MSG(fd.get() >= 0, "cannot write " + tmp + ": " +
+                                         std::strerror(errno));
+  write_all(fd.get(), contents.data(), contents.size(), tmp);
+  FORUMCAST_CHECK_MSG(::fsync(fd.get()) == 0, "fsync failed: " + tmp + ": " +
+                                                  std::strerror(errno));
+  FORUMCAST_CHECK_MSG(fd.close(), "close failed: " + tmp + ": " +
+                                      std::strerror(errno));
   FORUMCAST_CHECK_MSG(::rename(tmp.c_str(), path.c_str()) == 0,
                       "rename failed: " + path + ": " + std::strerror(errno));
+  // The rename lives in the directory entry: without this fsync a power
+  // loss can bring back the old file.
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const ScopedFd dir_fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
+  FORUMCAST_CHECK_MSG(dir_fd.get() >= 0, "cannot open directory " + dir +
+                                             ": " + std::strerror(errno));
+  FORUMCAST_CHECK_MSG(::fsync(dir_fd.get()) == 0, "directory fsync failed: " +
+                                                      dir + ": " +
+                                                      std::strerror(errno));
 }
 
 void write_snapshot(const std::string& path, std::span<const ForumEvent> events,
@@ -230,7 +262,12 @@ SnapshotData read_snapshot(const std::string& path) {
   }
 
   std::string_view cursor(contents.data() + off, contents.size() - off);
-  snapshot.events.reserve(count);
+  // Every record carries at least its 8-byte [len][crc] header, so the
+  // remaining bytes bound what the count can honestly claim: a hostile
+  // count reaches the truncation CHECK below instead of the allocator.
+  const std::size_t min_record_bytes = 2 * sizeof(std::uint32_t);
+  snapshot.events.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, cursor.size() / min_record_bytes)));
   for (std::uint64_t i = 0; i < count; ++i) {
     DecodeResult decoded = decode_event_record(cursor);
     FORUMCAST_CHECK_MSG(decoded.bytes_consumed != 0,

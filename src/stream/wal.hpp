@@ -138,8 +138,10 @@ std::string snapshot_path(const std::string& dir);
 /// restores both the fitted models and the streamed events.
 std::string model_bundle_path(const std::string& dir);
 
-/// Atomically (write temp + fsync + rename) writes `contents` to `path`.
-/// Shared by snapshots and the model bundle.
+/// Atomically (write temp + fsync + rename + directory fsync) writes
+/// `contents` to `path`. Shared by snapshots and the model bundle. Throws
+/// util::CheckError on any failure, leaving `path` as it was and no
+/// descriptor open.
 void write_file_atomic(const std::string& path, std::string_view contents);
 
 RecoveredLog recover_log(const std::string& dir);

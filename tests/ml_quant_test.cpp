@@ -1,16 +1,18 @@
-// Int8 inference path: exact kernel equivalence across SIMD variants,
-// scalar/batch bit parity, fp64↔int8 quality (AUC delta bound), and the
-// kQuantizedMlp bundle section under corruption and truncation.
+// Int8 inference path: the dispatched forward against a plain-loop
+// reference, scalar/batch bit parity, fp64↔int8 quality (AUC delta bound),
+// and the kQuantizedMlp bundle section under corruption and truncation.
 #include "ml/quant.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "artifact/artifact.hpp"
@@ -26,42 +28,11 @@
 namespace forumcast::ml {
 namespace {
 
-// ---------- gemm_s8 kernels ----------
-
-std::vector<std::int8_t> random_int8(util::Rng& rng, std::size_t count) {
-  std::vector<std::int8_t> values(count);
-  for (auto& v : values) {
-    v = static_cast<std::int8_t>(
-        static_cast<long>(rng.uniform(-127.0, 128.0)));
-  }
-  return values;
-}
-
-TEST(GemmS8, DispatchedKernelMatchesScalarBitForBit) {
-  // Shapes cover one-vector, narrow, and multi-block k (kPad-multiples, as
-  // QuantizedMlp always pads).
-  util::Rng rng(42);
-  for (const auto [n, m, k] :
-       {std::array<std::size_t, 3>{1, 1, 64},
-        std::array<std::size_t, 3>{3, 20, 64},
-        std::array<std::size_t, 3>{7, 21, 128},
-        std::array<std::size_t, 3>{16, 20, 192}}) {
-    const auto a = random_int8(rng, n * k);
-    const auto b = random_int8(rng, m * k);
-    std::vector<std::int32_t> expected(n * m, -1);
-    std::vector<std::int32_t> got(n * m, -2);
-    gemm_s8_scalar(n, m, k, a.data(), k, b.data(), k, expected.data(), m);
-    gemm_s8()(n, m, k, a.data(), k, b.data(), k, got.data(), m);
-    EXPECT_EQ(expected, got) << "n=" << n << " m=" << m << " k=" << k
-                             << " variant=" << gemm_s8_variant();
-  }
-}
+// ---------- dispatch ----------
 
 TEST(GemmS8, VariantNameIsKnown) {
   const std::string variant = gemm_s8_variant();
-  EXPECT_TRUE(variant == "scalar" || variant == "avx2" ||
-              variant == "avx512vnni")
-      << variant;
+  EXPECT_TRUE(variant == "scalar" || variant == "avx512vnni") << variant;
 }
 
 // ---------- QuantizedMlp ----------
@@ -87,6 +58,97 @@ double forward_one(const QuantizedMlp& net, std::span<const double> x) {
   Tensor<double> out = frame.workspace().tensor<double>(1, net.output_dim());
   net.forward_batch_into(one_row(x), out);
   return out(0, 0);
+}
+
+// acc·(sx·sw) + bias as the scheme defines it: fused on targets with FMA.
+double dequant_mul_add(double acc, double scale, double bias) {
+#if defined(__FMA__)
+  return std::fma(acc, scale, bias);
+#else
+  return acc * scale + bias;
+#endif
+}
+
+// The int8 scheme written out as plain loops over quantized_layers(), with
+// no kernel, padding or packed layout: per-row scale max|x|/127 (1 for an
+// all-zero row), trunc(x·inv ± 0.5) clamped to ±127, an int32 dot product
+// over fan_in, then acc·(sx·sw) + bias + bias_correction and the activation.
+Matrix reference_forward(const QuantizedMlp& net, const Matrix& x) {
+  Matrix source = x;
+  for (const QuantizedLayer& layer : net.quantized_layers()) {
+    Matrix next(source.rows(), layer.units);
+    std::vector<std::int32_t> qx(layer.fan_in);
+    for (std::size_t r = 0; r < source.rows(); ++r) {
+      const std::span<const double> row = std::as_const(source).row(r);
+      double max_abs = 0.0;
+      for (std::size_t i = 0; i < layer.fan_in; ++i) {
+        max_abs = std::max(max_abs, std::fabs(row[i]));
+      }
+      const double sx = max_abs > 0.0 ? max_abs / 127.0 : 1.0;
+      const double inv = 1.0 / sx;
+      for (std::size_t i = 0; i < layer.fan_in; ++i) {
+        const double scaled = row[i] * inv;
+        const double rounded = std::trunc(scaled + (scaled >= 0.0 ? 0.5 : -0.5));
+        qx[i] = std::clamp(static_cast<std::int32_t>(rounded), -127, 127);
+      }
+      for (std::size_t u = 0; u < layer.units; ++u) {
+        std::int32_t acc = 0;
+        for (std::size_t i = 0; i < layer.fan_in; ++i) {
+          acc += qx[i] * layer.weights[u * layer.padded_k + i];
+        }
+        const double pre = dequant_mul_add(static_cast<double>(acc),
+                                           sx * layer.scales[u], layer.bias[u]) +
+                           layer.bias_correction[u];
+        next(r, u) = activate(layer.activation, pre);
+      }
+    }
+    source = std::move(next);
+  }
+  return source;
+}
+
+TEST(QuantizedMlp, DispatchedPathMatchesPlainLoopReferenceBitForBit) {
+  // Whichever path this host dispatches to (packed VNNI with its vector
+  // quantize/dequant, or the scalar reference) must return the bits of the
+  // plain-loop scheme. Shapes cover one and several 16-unit blocks, fan_in
+  // below, across and past the 8-lane and 64-lane boundaries, calibrated and
+  // uncalibrated bias terms, and a hidden layer the vector dequant hands to
+  // the libm loop.
+  util::Rng rng(31);
+  for (const std::size_t fan_in : {10u, 34u, 65u}) {
+    for (const Activation hidden : {Activation::ReLU, Activation::Tanh}) {
+      Mlp net(fan_in,
+              {{20, Activation::ReLU}, {20, hidden}, {1, Activation::Identity}},
+              fan_in + 3);
+      // Fresh nets have all-zero biases, under which acc·(sx·sw) + bias
+      // rounds the same fused or not; a fitted net's biases do not.
+      for (double& p : net.params()) p += rng.uniform(-0.1, 0.1);
+      const Matrix calibration = random_rows(rng, 64, fan_in);
+      for (const bool calibrated : {false, true}) {
+        const QuantizedMlp quantized = calibrated
+                                           ? QuantizedMlp::from(net, calibration)
+                                           : QuantizedMlp::from(net);
+        for (const std::size_t rows : {1u, 7u, 33u, 256u}) {
+          Matrix x = random_rows(rng, rows, fan_in);
+          if (rows > 3) {
+            for (double& v : x.row(3)) v = 0.0;  // the scale-of-1 branch
+          }
+          const Matrix expected = reference_forward(quantized, x);
+          Workspace::Frame frame;
+          Tensor<double> got =
+              frame.workspace().tensor<double>(rows, quantized.output_dim());
+          quantized.forward_batch_into(x.view(), got);
+          for (std::size_t r = 0; r < rows; ++r) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(expected(r, 0)),
+                      std::bit_cast<std::uint64_t>(got(r, 0)))
+                << "fan_in=" << fan_in << " hidden=" << activation_name(hidden)
+                << " calibrated=" << calibrated << " rows=" << rows
+                << " row=" << r << " variant=" << gemm_s8_variant();
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(QuantizedMlp, TracksTheFp64NetworkClosely) {

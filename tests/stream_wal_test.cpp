@@ -2,9 +2,12 @@
 // the streaming ingestion subsystem (src/stream/).
 #include <gtest/gtest.h>
 
-#include <cstddef>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -377,6 +380,24 @@ TEST(Snapshot, TruncatedModelRefThrows) {
   EXPECT_THROW(read_snapshot(snapshot_path(dir)), util::CheckError);
 }
 
+TEST(Snapshot, HostileEventCountThrowsCheckError) {
+  // A v2 header claiming 2^60 events over an empty record section must fail
+  // validation, not the allocator (vector::reserve's length_error).
+  const std::string dir = fresh_dir("snap_hostile_count");
+  std::string blob = "FCSN";
+  const std::uint32_t version = 2;
+  const std::uint64_t last_seq = 5;
+  const std::uint64_t count = std::uint64_t{1} << 60;
+  const std::uint64_t ref_length = 0;
+  blob.append(reinterpret_cast<const char*>(&version), sizeof version);
+  blob.append(reinterpret_cast<const char*>(&last_seq), sizeof last_seq);
+  blob.append(reinterpret_cast<const char*>(&count), sizeof count);
+  blob.append(reinterpret_cast<const char*>(&ref_length), sizeof ref_length);
+  append_event_record(blob, sample_events().front());
+  dump(snapshot_path(dir), blob);
+  EXPECT_THROW(read_snapshot(snapshot_path(dir)), util::CheckError);
+}
+
 TEST(WriteFileAtomic, ReplacesContentsAndLeavesNoTemp) {
   const std::string dir = fresh_dir("atomic_write");
   const std::string path = dir + "/file.bin";
@@ -385,6 +406,39 @@ TEST(WriteFileAtomic, ReplacesContentsAndLeavesNoTemp) {
   write_file_atomic(path, "second, longer contents");
   EXPECT_EQ(slurp(path), "second, longer contents");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(WriteFileAtomic, FailedWriteThrowsAndReleasesItsDescriptor) {
+  // A file-size limit makes write() fail with EFBIG (SIGXFSZ ignored) partway
+  // through: the call must throw CheckError without leaking the temp fd, and
+  // the old contents must survive.
+  const std::string dir = fresh_dir("atomic_write_fail");
+  const std::string path = dir + "/file.bin";
+  write_file_atomic(path, "old");
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+  const std::size_t fds_before = open_fd_count();
+  rlimit small = saved;
+  small.rlim_cur = 4096;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  EXPECT_THROW(write_file_atomic(path, std::string(64 * 1024, 'x')),
+               util::CheckError);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, previous_handler);
+
+  EXPECT_EQ(open_fd_count(), fds_before);
+  EXPECT_EQ(slurp(path), "old");
 }
 
 TEST(RecoverLog, MergesSnapshotWithNewerWalRecords) {

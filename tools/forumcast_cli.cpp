@@ -60,6 +60,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -70,6 +71,7 @@
 #include "eval/metrics.hpp"
 #include "forum/generator.hpp"
 #include "forum/io.hpp"
+#include "ml/quant.hpp"
 #include "net/server.hpp"
 #include "obs/monitor/monitor.hpp"
 #include "obs/obs.hpp"
@@ -186,6 +188,21 @@ core::ForecastPipeline fit_all_questions(const forum::Dataset& dataset,
   return pipeline;
 }
 
+/// `--quantize on|off`. The int8 vote path only outruns the fp64 forward on
+/// the packed AVX-512 VNNI kernels; elsewhere it still serves (same bits,
+/// just slower), after one warning per process.
+bool quantize_requested(const Args& args) {
+  const bool on = args.get_switch("quantize");
+  static bool warned = false;
+  if (on && !warned && std::string_view(ml::gemm_s8_variant()) == "scalar") {
+    warned = true;
+    std::cerr << "warning: --quantize on: no AVX-512 VNNI here, so the int8 "
+                 "vote path runs its scalar reference and is slower than "
+                 "fp64; serving anyway\n";
+  }
+  return on;
+}
+
 core::ForecastPipeline fit_pipeline(const forum::Dataset& dataset,
                                     const Args& args) {
   const int history_days = static_cast<int>(args.get_int("history-days", 25));
@@ -194,7 +211,7 @@ core::ForecastPipeline fit_pipeline(const forum::Dataset& dataset,
   // Fit-time quantization calibrates bias correction on the training rows —
   // strictly better than the load-time regeneration obtain_pipeline falls
   // back to for pre-quantization bundles.
-  config.vote.quantize = args.get_switch("quantize");
+  config.vote.quantize = quantize_requested(args);
   core::ForecastPipeline pipeline(config);
   const auto history = dataset.questions_in_days(1, history_days);
   FORUMCAST_CHECK_MSG(!history.empty(), "no questions in days 1-" << history_days);
@@ -233,7 +250,7 @@ core::ForecastPipeline obtain_pipeline(const forum::Dataset& dataset,
   core::ForecastPipeline pipeline = model_in.empty()
                                         ? fit_pipeline(dataset, args)
                                         : load_bundle(dataset, model_in);
-  if (args.get_switch("quantize")) pipeline.quantize_vote();
+  if (quantize_requested(args)) pipeline.quantize_vote();
   const std::string model_out = args.get("model-out", "");
   if (!model_out.empty()) save_bundle(pipeline, model_out);
   return pipeline;
@@ -1017,7 +1034,7 @@ int cmd_serve(const Args& args) {
   // (the metrics snapshot carries no pipeline.fit.* histograms — the smoke
   // test asserts exactly that).
   auto pipeline = load_bundle(dataset, args.require("model-in"));
-  if (args.get_switch("quantize")) pipeline.quantize_vote();
+  if (quantize_requested(args)) pipeline.quantize_vote();
   print_prediction_digest(pipeline);
   if (args.get("listen", "").size() > 0) {
     return run_daemon(dataset, std::move(pipeline), args);

@@ -62,9 +62,9 @@
 #        BENCH_ML_MIN_SPEEDUP  minimum int8/fp32 batch vote-forward ratio at
 #                           256 rows (BM_VoteForwardInt8/256 over
 #                           BM_VoteForwardFp32/256 items_per_second, from
-#                           BENCH_ml.json). The ratio depends on the gemm_s8
-#                           kernel the host CPU dispatches (AVX-512 VNNI vs
-#                           AVX2 vs scalar), so unset -> the guard is SKIPPED
+#                           BENCH_ml.json). The ratio depends on the int8
+#                           path the host dispatches (packed AVX-512 VNNI or
+#                           the scalar reference), so unset -> the guard is SKIPPED
 #                           but BENCH_ml.json is still written; non-numeric
 #                           -> exit 2. The acceptance bar is 1.5 on quiet
 #                           VNNI hardware.
@@ -80,91 +80,38 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-# Validate the guard threshold before any expensive work. ${VAR+x}
-# distinguishes unset (use the default) from set-but-empty (an error: the
-# caller exported something, but not a number).
-if [[ -z "${BENCH_MIN_SPEEDUP+x}" ]]; then
-  MIN_SPEEDUP="1.0"
-elif [[ "$BENCH_MIN_SPEEDUP" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-  MIN_SPEEDUP="$BENCH_MIN_SPEEDUP"
-else
-  echo "error: BENCH_MIN_SPEEDUP must be a non-negative decimal number" \
-       "(e.g. 1.5); got '${BENCH_MIN_SPEEDUP}'" >&2
-  echo "hint: unset it to use the default of 1.0" >&2
-  exit 2
-fi
-
-if [[ -z "${BENCH_FIT_MIN_SPEEDUP+x}" ]]; then
-  FIT_MIN_SPEEDUP="1.0"
-elif [[ "$BENCH_FIT_MIN_SPEEDUP" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-  FIT_MIN_SPEEDUP="$BENCH_FIT_MIN_SPEEDUP"
-else
-  echo "error: BENCH_FIT_MIN_SPEEDUP must be a non-negative decimal number" \
-       "(e.g. 2.5); got '${BENCH_FIT_MIN_SPEEDUP}'" >&2
-  echo "hint: unset it to use the default of 1.0" >&2
-  exit 2
-fi
-
-if [[ -z "${BENCH_MONITOR_MIN_RATIO+x}" ]]; then
-  MONITOR_MIN_RATIO="0.5"
-elif [[ "$BENCH_MONITOR_MIN_RATIO" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-  MONITOR_MIN_RATIO="$BENCH_MONITOR_MIN_RATIO"
-else
-  echo "error: BENCH_MONITOR_MIN_RATIO must be a non-negative decimal number" \
-       "(e.g. 0.95); got '${BENCH_MONITOR_MIN_RATIO}'" >&2
-  echo "hint: unset it to use the default of 0.5" >&2
-  exit 2
-fi
-
-# Absolute-rate guard: no sensible hardware-independent default exists, so
-# unset means "report, don't gate" (NET_MIN_RPS stays empty).
-NET_MIN_RPS=""
-if [[ -n "${BENCH_NET_MIN_RPS+x}" ]]; then
-  if [[ "$BENCH_NET_MIN_RPS" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-    NET_MIN_RPS="$BENCH_NET_MIN_RPS"
+# threshold OUT VAR DEFAULT EXAMPLE: validate one guard threshold before any
+# expensive work and store it in OUT. ${VAR+x} distinguishes unset (OUT gets
+# DEFAULT; an empty DEFAULT means the guard reports without gating) from
+# set-but-empty (an error: the caller exported something, but not a
+# number). EXAMPLE is the acceptance bar on quiet hardware.
+threshold() {
+  local out="$1" var="$2" default="$3" example="$4"
+  if [[ -z "${!var+x}" ]]; then
+    printf -v "$out" '%s' "$default"
+  elif [[ "${!var}" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
+    printf -v "$out" '%s' "${!var}"
   else
-    echo "error: BENCH_NET_MIN_RPS must be a non-negative decimal number" \
-         "(e.g. 50000); got '${BENCH_NET_MIN_RPS}'" >&2
-    echo "hint: unset it to report throughput without gating" >&2
+    echo "error: $var must be a non-negative decimal number" \
+         "(e.g. $example); got '${!var}'" >&2
+    if [[ -n "$default" ]]; then
+      echo "hint: unset it to use the default of $default" >&2
+    else
+      echo "hint: unset it to report the measurement without gating" >&2
+    fi
     exit 2
   fi
-fi
+}
 
-REPLICA_MIN_EPS=""
-if [[ -n "${BENCH_REPLICA_MIN_EPS+x}" ]]; then
-  if [[ "$BENCH_REPLICA_MIN_EPS" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-    REPLICA_MIN_EPS="$BENCH_REPLICA_MIN_EPS"
-  else
-    echo "error: BENCH_REPLICA_MIN_EPS must be a non-negative decimal number" \
-         "(e.g. 2000); got '${BENCH_REPLICA_MIN_EPS}'" >&2
-    echo "hint: unset it to report throughput without gating" >&2
-    exit 2
-  fi
-fi
-
-CENTRALITY_MIN_SPEEDUP=""
-if [[ -n "${BENCH_CENTRALITY_MIN_SPEEDUP+x}" ]]; then
-  if [[ "$BENCH_CENTRALITY_MIN_SPEEDUP" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-    CENTRALITY_MIN_SPEEDUP="$BENCH_CENTRALITY_MIN_SPEEDUP"
-  else
-    echo "error: BENCH_CENTRALITY_MIN_SPEEDUP must be a non-negative decimal" \
-         "number (e.g. 10.0); got '${BENCH_CENTRALITY_MIN_SPEEDUP}'" >&2
-    echo "hint: unset it to report the speedup without gating" >&2
-    exit 2
-  fi
-fi
-
-ML_MIN_SPEEDUP=""
-if [[ -n "${BENCH_ML_MIN_SPEEDUP+x}" ]]; then
-  if [[ "$BENCH_ML_MIN_SPEEDUP" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
-    ML_MIN_SPEEDUP="$BENCH_ML_MIN_SPEEDUP"
-  else
-    echo "error: BENCH_ML_MIN_SPEEDUP must be a non-negative decimal number" \
-         "(e.g. 1.5); got '${BENCH_ML_MIN_SPEEDUP}'" >&2
-    echo "hint: unset it to report the int8 speedup without gating" >&2
-    exit 2
-  fi
-fi
+threshold MIN_SPEEDUP BENCH_MIN_SPEEDUP 1.0 1.5
+threshold FIT_MIN_SPEEDUP BENCH_FIT_MIN_SPEEDUP 1.0 2.5
+threshold MONITOR_MIN_RATIO BENCH_MONITOR_MIN_RATIO 0.5 0.95
+# Absolute-rate and hardware-dependent guards: no sensible default exists,
+# so unset means "report, don't gate" (the value stays empty).
+threshold NET_MIN_RPS BENCH_NET_MIN_RPS "" 50000
+threshold REPLICA_MIN_EPS BENCH_REPLICA_MIN_EPS "" 2000
+threshold CENTRALITY_MIN_SPEEDUP BENCH_CENTRALITY_MIN_SPEEDUP "" 10.0
+threshold ML_MIN_SPEEDUP BENCH_ML_MIN_SPEEDUP "" 1.5
 
 # Refuse to emit BENCH files from an unoptimized build: a Debug or
 # non-native binary runs the same code an order of magnitude slower, and a
@@ -198,76 +145,40 @@ BENCH_CONTEXT=(
   "--benchmark_context=forumcast_native=$NATIVE"
 )
 
-SERVE_BIN="$BUILD_DIR/bench/serve"
-MICRO_BIN="$BUILD_DIR/bench/micro"
-STREAM_BIN="$BUILD_DIR/bench/stream"
-FIT_BIN="$BUILD_DIR/bench/fit"
-ARTIFACT_BIN="$BUILD_DIR/bench/artifact"
-MONITOR_BIN="$BUILD_DIR/bench/monitor"
-NET_BIN="$BUILD_DIR/bench/net"
-REPLICA_BIN="$BUILD_DIR/bench/replica"
-CENTRALITY_BIN="$BUILD_DIR/bench/centrality"
-ML_BIN="$BUILD_DIR/bench/ml"
-SERVE_JSON="$OUT_DIR/BENCH_serve.json"
-MICRO_JSON="$OUT_DIR/BENCH_micro.json"
-STREAM_JSON="$OUT_DIR/BENCH_stream.json"
-FIT_JSON="$OUT_DIR/BENCH_fit.json"
-ARTIFACT_JSON="$OUT_DIR/BENCH_artifact.json"
-MONITOR_JSON="$OUT_DIR/BENCH_monitor.json"
-NET_JSON="$OUT_DIR/BENCH_net.json"
-REPLICA_JSON="$OUT_DIR/BENCH_replica.json"
-CENTRALITY_JSON="$OUT_DIR/BENCH_centrality.json"
-ML_JSON="$OUT_DIR/BENCH_ml.json"
+# One row per google-benchmark binary: its name under $BUILD_DIR/bench/
+# (the report goes to $OUT_DIR/BENCH_<name>.json), then any extra flags.
+BENCHES=(
+  "serve --benchmark_min_warmup_time=0.2"
+  "micro"
+  "stream"
+  "fit"
+  "artifact"
+  "monitor"
+  "net"
+  "replica"
+  "centrality"
+  "ml --benchmark_min_warmup_time=0.2"
+)
 
-for bin in "$SERVE_BIN" "$MICRO_BIN" "$STREAM_BIN" "$FIT_BIN" "$ARTIFACT_BIN" \
-           "$MONITOR_BIN" "$NET_BIN" "$REPLICA_BIN" "$CENTRALITY_BIN" \
-           "$ML_BIN"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "error: $bin not built (configure with default options first)" >&2
+REPORTS=()
+for row in "${BENCHES[@]}"; do
+  read -r name _ <<< "$row"
+  if [[ ! -x "$BUILD_DIR/bench/$name" ]]; then
+    echo "error: $BUILD_DIR/bench/$name not built (configure with default options first)" >&2
     exit 2
   fi
+  REPORTS+=("$OUT_DIR/BENCH_$name.json")
 done
 mkdir -p "$OUT_DIR"
 
-echo "== bench/serve -> $SERVE_JSON"
-"$SERVE_BIN" --benchmark_out="$SERVE_JSON" --benchmark_out_format=json \
-  --benchmark_min_warmup_time=0.2 "${BENCH_CONTEXT[@]}"
-
-echo "== bench/micro -> $MICRO_JSON"
-"$MICRO_BIN" --benchmark_out="$MICRO_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/stream -> $STREAM_JSON"
-"$STREAM_BIN" --benchmark_out="$STREAM_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/fit -> $FIT_JSON"
-"$FIT_BIN" --benchmark_out="$FIT_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/artifact -> $ARTIFACT_JSON"
-"$ARTIFACT_BIN" --benchmark_out="$ARTIFACT_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/monitor -> $MONITOR_JSON"
-"$MONITOR_BIN" --benchmark_out="$MONITOR_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/net -> $NET_JSON"
-"$NET_BIN" --benchmark_out="$NET_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/replica -> $REPLICA_JSON"
-"$REPLICA_BIN" --benchmark_out="$REPLICA_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/centrality -> $CENTRALITY_JSON"
-"$CENTRALITY_BIN" --benchmark_out="$CENTRALITY_JSON" --benchmark_out_format=json \
-  "${BENCH_CONTEXT[@]}"
-
-echo "== bench/ml -> $ML_JSON"
-"$ML_BIN" --benchmark_out="$ML_JSON" --benchmark_out_format=json \
-  --benchmark_min_warmup_time=0.2 "${BENCH_CONTEXT[@]}"
+for row in "${BENCHES[@]}"; do
+  read -r name extra <<< "$row"
+  json="$OUT_DIR/BENCH_$name.json"
+  echo "== bench/$name -> $json"
+  # $extra is deliberately unquoted: zero or more whitespace-separated flags.
+  "$BUILD_DIR/bench/$name" --benchmark_out="$json" --benchmark_out_format=json \
+    $extra "${BENCH_CONTEXT[@]}"
+done
 
 # Belt-and-braces against stale or hand-carried baselines: even though the
 # build-tree check above gates on the CMake cache, also reject any produced
@@ -280,9 +191,7 @@ echo "== bench/ml -> $ML_JSON"
 # benchmark *library* was compiled, and distro packages ship it debug-built
 # even under Release/native repo binaries.
 echo "== baseline sanity: no debug-build contexts"
-python3 - "$SERVE_JSON" "$MICRO_JSON" "$STREAM_JSON" "$FIT_JSON" \
-          "$ARTIFACT_JSON" "$MONITOR_JSON" "$NET_JSON" "$REPLICA_JSON" \
-          "$CENTRALITY_JSON" "$ML_JSON" <<'PY'
+python3 - "${REPORTS[@]}" <<'PY'
 import json
 import sys
 
@@ -301,7 +210,7 @@ print(f"{len(sys.argv) - 1} bench reports carry Release build contexts")
 PY
 
 echo "== model bundle: save/load latency and size"
-python3 - "$ARTIFACT_JSON" <<'PY'
+python3 - "$OUT_DIR/BENCH_artifact.json" <<'PY'
 import json
 import sys
 
@@ -325,7 +234,7 @@ for name in ("BM_BundleSave", "BM_BundleLoad"):
 PY
 
 echo "== streaming ingestion: events/sec"
-python3 - "$STREAM_JSON" <<'PY'
+python3 - "$OUT_DIR/BENCH_stream.json" <<'PY'
 import json
 import sys
 
@@ -346,7 +255,7 @@ for name, rate in sorted(rates.items()):
 PY
 
 echo "== regression guard: batch vs scalar pairs/sec at 256 candidates"
-python3 - "$SERVE_JSON" "$MIN_SPEEDUP" <<'PY'
+python3 - "$OUT_DIR/BENCH_serve.json" "$MIN_SPEEDUP" <<'PY'
 import json
 import sys
 
@@ -375,7 +284,7 @@ if speedup < min_speedup:
 PY
 
 echo "== regression guard: monitoring overhead on ingest+score throughput"
-python3 - "$MONITOR_JSON" "$MONITOR_MIN_RATIO" <<'PY'
+python3 - "$OUT_DIR/BENCH_monitor.json" "$MONITOR_MIN_RATIO" <<'PY'
 import json
 import sys
 
@@ -413,7 +322,7 @@ if ratio < min_ratio:
 PY
 
 echo "== regression guard: pipeline fit at 8 vs 1 fit-threads"
-python3 - "$FIT_JSON" "$FIT_MIN_SPEEDUP" <<'PY'
+python3 - "$OUT_DIR/BENCH_fit.json" "$FIT_MIN_SPEEDUP" <<'PY'
 import json
 import sys
 
@@ -441,7 +350,7 @@ if speedup < min_speedup:
              f"below required {min_speedup:.2f}x")
 PY
 echo "== wire serving: requests/sec and latency quantiles by concurrency"
-python3 - "$NET_JSON" "${NET_MIN_RPS:-}" <<'PY'
+python3 - "$OUT_DIR/BENCH_net.json" "${NET_MIN_RPS:-}" <<'PY'
 import json
 import sys
 
@@ -478,7 +387,7 @@ else:
     print(f"wire-serving guard passed: {guard:,.0f} >= {min_rps:,.0f} req/sec")
 PY
 echo "== replication tier: ring lookups, primary ingest, follower apply"
-python3 - "$REPLICA_JSON" "${REPLICA_MIN_EPS:-}" <<'PY'
+python3 - "$OUT_DIR/BENCH_replica.json" "${REPLICA_MIN_EPS:-}" <<'PY'
 import json
 import sys
 
@@ -515,7 +424,7 @@ else:
           f"{min_eps:,.0f} events/sec")
 PY
 echo "== centrality: exact vs sampled betweenness at 2048 nodes"
-python3 - "$CENTRALITY_JSON" "${CENTRALITY_MIN_SPEEDUP:-}" <<'PY'
+python3 - "$OUT_DIR/BENCH_centrality.json" "${CENTRALITY_MIN_SPEEDUP:-}" <<'PY'
 import json
 import sys
 
@@ -553,7 +462,7 @@ else:
     print(f"centrality guard passed: {speedup:.2f}x >= {min_speedup:.2f}x")
 PY
 echo "== ml substrate: int8 vs fp32 batch vote forward at 256 rows"
-python3 - "$ML_JSON" "${ML_MIN_SPEEDUP:-}" <<'PY'
+python3 - "$OUT_DIR/BENCH_ml.json" "${ML_MIN_SPEEDUP:-}" <<'PY'
 import json
 import sys
 
