@@ -19,6 +19,14 @@
 //
 // BM_NetPing measures the protocol + event-loop floor (health requests
 // bypass the batcher), isolating framing/epoll overhead from scoring.
+//
+// BM_NetScoreColdWorkers/<W> is the worker-scaling sweep: a daemon with W
+// batcher workers over a 2000-user, 3000-question forum (gen seed 5,
+// sampled centrality), 16 closed-loop connections, each request 256 random
+// candidates for a uniformly random question. Almost every request misses
+// the 64-block question cache, so each one builds its question block and
+// runs 256-row forwards; with questions rarely shared, requests do not
+// coalesce and throughput comes only from workers scoring side by side.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -44,6 +52,7 @@
 #include "net/server.hpp"
 #include "serve/batch_scorer.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -107,13 +116,14 @@ struct NetBenchFixture {
 };
 
 /// C non-blocking loopback connections multiplexed over poll() from the
-/// calling thread, each running a closed loop of identical pre-encoded
-/// requests (one outstanding per connection).
+/// calling thread, each running a closed loop of pre-encoded requests (one
+/// outstanding per connection). Connection i repeats frame i mod F, or with
+/// `rotate` every request takes the next frame of the list in turn.
 class LoadGenerator {
  public:
   LoadGenerator(std::uint16_t port, std::size_t connections,
-                std::vector<std::string> request_frames)
-      : frames_(std::move(request_frames)) {
+                std::vector<std::string> request_frames, bool rotate = false)
+      : frames_(std::move(request_frames)), rotate_(rotate) {
     conns_.resize(connections);
     for (std::size_t i = 0; i < connections; ++i) {
       Conn& conn = conns_[i];
@@ -201,6 +211,7 @@ class LoadGenerator {
   };
 
   void begin_request(Conn& conn) {
+    if (rotate_) conn.frame = &frames_[next_frame_++ % frames_.size()];
     conn.in_flight = true;
     conn.sent_at = std::chrono::steady_clock::now();
     conn.pending_out.append(*conn.frame);
@@ -250,6 +261,8 @@ class LoadGenerator {
   }
 
   std::vector<std::string> frames_;
+  bool rotate_ = false;
+  std::size_t next_frame_ = 0;
   std::vector<Conn> conns_;
   std::vector<double> latencies_;
 };
@@ -325,6 +338,102 @@ void BM_NetPing(benchmark::State& state) {
   record_quantiles(state, latencies);
 }
 BENCHMARK(BM_NetPing)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The worker sweep's forum, model and request frames (see the header).
+struct ColdSweepFixture {
+  forum::Dataset dataset;
+  std::shared_ptr<const core::ForecastPipeline> pipeline;
+  std::vector<std::string> frames;
+
+  static ColdSweepFixture& instance() {
+    static ColdSweepFixture fixture;
+    return fixture;
+  }
+
+ private:
+  ColdSweepFixture() : dataset(make_dataset()) {
+    auto fitted = std::make_shared<core::ForecastPipeline>(make_config());
+    fitted->fit(dataset, dataset.questions_in_days(1, 25));
+    pipeline = std::move(fitted);
+
+    util::Rng rng(7);
+    std::vector<forum::UserId> population(dataset.num_users());
+    for (std::size_t u = 0; u < population.size(); ++u) {
+      population[u] = static_cast<forum::UserId>(u);
+    }
+    for (std::uint64_t id = 1; id <= 4096; ++id) {
+      net::Message request;
+      request.kind = net::MessageKind::kScoreRequest;
+      request.request_id = id;
+      request.question = static_cast<forum::QuestionId>(
+          rng.uniform_index(dataset.num_questions()));
+      rng.shuffle(population);
+      request.users.assign(population.begin(), population.begin() + 256);
+      std::string frame;
+      net::append_frame(frame, request);
+      frames.push_back(std::move(frame));
+    }
+  }
+
+  static forum::Dataset make_dataset() {
+    forum::GeneratorConfig config;
+    config.num_users = 2000;
+    config.num_questions = 3000;
+    config.seed = 5;
+    return forum::generate_forum(config).dataset.preprocessed();
+  }
+
+  static core::PipelineConfig make_config() {
+    core::PipelineConfig config;
+    config.extractor.lda.iterations = 15;
+    config.extractor.centrality.mode = graph::CentralityMode::kSampled;
+    config.answer.logistic.epochs = 30;
+    config.vote.epochs = 10;
+    config.timing.epochs = 5;
+    config.survival_samples_per_thread = 5;
+    config.timing.learn_omega = false;
+    config.timing.f_hidden = {20, 10};
+    config.fit_threads = 4;
+    return config;
+  }
+};
+
+void BM_NetScoreColdWorkers(benchmark::State& state) {
+  ColdSweepFixture& fixture = ColdSweepFixture::instance();
+  serve::BatchScorer scorer(fixture.pipeline);
+  net::ServerConfig config;
+  config.batcher.threads = static_cast<std::size_t>(state.range(0));
+  net::Server server(scorer, fixture.dataset, config);
+  std::thread loop([&server] { server.run(); });
+
+  constexpr std::size_t kConnections = 16;
+  const std::size_t per_iteration = 16 * kConnections;
+  std::vector<double> latencies;
+  {
+    LoadGenerator generator(server.port(), kConnections, fixture.frames,
+                            /*rotate=*/true);
+    // Warm-up outside the timing: the user table, workspace arenas and the
+    // first cache fills, so every worker count starts from the same state.
+    generator.run(4 * kConnections, latencies);
+    latencies.clear();
+    for (auto _ : state) {
+      generator.run(per_iteration, latencies);
+    }
+  }
+  server.stop();
+  loop.join();
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * per_iteration));
+  state.counters["workers"] = static_cast<double>(state.range(0));
+  record_quantiles(state, latencies);
+}
+BENCHMARK(BM_NetScoreColdWorkers)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->MinTime(2.0)  // a 1-worker iteration is ~0.4 s; average several
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 #include <stack>
-#include <thread>
 #include <vector>
 
 #include "graph/brandes.hpp"
@@ -157,24 +156,22 @@ std::vector<double> betweenness_centrality(const Graph& graph,
       accumulate_sweep(scratch, source, betweenness);
     }
   } else {
-    // Static partition: thread t owns sources ≡ t (mod threads), with its own
-    // accumulator; reduction in fixed thread order keeps results
-    // deterministic for a given thread count.
+    // Static partition: slot t owns sources ≡ t (mod threads), with its own
+    // accumulator; reduction in fixed slot order keeps results
+    // deterministic for a given thread count, whichever thread runs a slot.
     std::vector<std::vector<double>> partials(threads,
                                               std::vector<double>(n, 0.0));
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        detail::BrandesScratch scratch(n);
-        for (NodeId source = static_cast<NodeId>(t); source < n;
-             source += threads) {
-          detail::brandes_source_sweep(graph, source, scratch);
-          accumulate_sweep(scratch, source, partials[t]);
-        }
-      });
-    }
-    for (auto& thread : pool) thread.join();
+    util::parallel_for(
+        threads,
+        [&](std::size_t t) {
+          detail::BrandesScratch scratch(n);
+          for (NodeId source = static_cast<NodeId>(t); source < n;
+               source += threads) {
+            detail::brandes_source_sweep(graph, source, scratch);
+            accumulate_sweep(scratch, source, partials[t]);
+          }
+        },
+        threads);
     for (std::size_t t = 0; t < threads; ++t) {
       for (std::size_t v = 0; v < n; ++v) betweenness[v] += partials[t][v];
     }

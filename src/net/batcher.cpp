@@ -53,7 +53,9 @@ MicroBatcher::MicroBatcher(serve::BatchScorer& scorer,
   const std::size_t threads = std::max<std::size_t>(1, config_.threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.push_back(std::make_unique<Worker>());
+    Worker& worker = *workers_.back();
+    worker.thread = std::thread([this, &worker] { worker_loop(worker); });
   }
 }
 
@@ -61,12 +63,17 @@ MicroBatcher::~MicroBatcher() { stop(); }
 
 bool MicroBatcher::try_submit(Item item) {
   item.enqueued = std::chrono::steady_clock::now();
+  Worker* idle = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ || queue_.size() >= config_.max_queue) return false;
     queue_.push_back(std::move(item));
+    if (!idle_.empty()) {
+      idle = idle_.back();
+      idle_.pop_back();
+    }
   }
-  ready_.notify_one();
+  if (idle != nullptr) idle->wake.notify_one();
   return true;
 }
 
@@ -79,19 +86,27 @@ void MicroBatcher::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
+    idle_.clear();
   }
-  ready_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
+  for (const auto& worker : workers_) worker->wake.notify_one();
+  for (const auto& worker : workers_) {
+    if (worker->thread.joinable()) worker->thread.join();
   }
 }
 
-void MicroBatcher::worker_loop() {
+void MicroBatcher::worker_loop(Worker& self) {
   for (;;) {
     std::vector<Item> batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      while (!stopping_ && queue_.empty()) {
+        idle_.push_back(&self);
+        self.wake.wait(lock);
+        // A submission unparks the worker it wakes; a spurious wake-up
+        // leaves it parked, so unpark it here.
+        const auto parked = std::find(idle_.begin(), idle_.end(), &self);
+        if (parked != idle_.end()) idle_.erase(parked);
+      }
       if (queue_.empty()) return;  // stopping and fully drained
       // Work-conserving: take whatever is queued now. Requests that arrive
       // while this batch scores form the next one.
@@ -127,25 +142,17 @@ void MicroBatcher::process(std::vector<Item> batch) {
       case MessageKind::kScoreRequest:
         break;  // answered by score_group above
       case MessageKind::kRouteRequest:
-        on_complete_(item.conn_id, handle_route(item));
+        complete(item, handle_route(item));
         break;
       case MessageKind::kSwapRequest:
-        on_complete_(item.conn_id, handle_swap(item));
+        complete(item, handle_swap(item));
         break;
       default:
-        on_complete_(item.conn_id,
-                     encode_error(item.request.request_id,
-                                  ErrorCode::kUnknownKind,
-                                  "kind not handled by the batcher"));
+        complete(item, encode_error(item.request.request_id,
+                                    ErrorCode::kUnknownKind,
+                                    "kind not handled by the batcher"));
         break;
     }
-    const double waited_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - item.enqueued)
-            .count();
-    FORUMCAST_HISTOGRAM_OBSERVE("net.request_ms", waited_ms, 0.05, 0.1, 0.25,
-                                0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
-                                250.0);
   }
 #if FORUMCAST_OBS_ENABLED
   // SLO view: admission-to-completion latency quantiles, refreshed per
@@ -154,6 +161,18 @@ void MicroBatcher::process(std::vector<Item> batch) {
   FORUMCAST_GAUGE_SET("net.request_p50_ms", latency.quantile(0.5));
   FORUMCAST_GAUGE_SET("net.request_p99_ms", latency.quantile(0.99));
 #endif
+}
+
+void MicroBatcher::complete(const Item& item, std::string frame) {
+  // Latency first: a client that has its response can already find it in a
+  // metrics snapshot.
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - item.enqueued)
+                               .count();
+  FORUMCAST_HISTOGRAM_OBSERVE("net.request_ms", waited_ms, 0.05, 0.1, 0.25,
+                              0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
+                              250.0);
+  on_complete_(item.conn_id, std::move(frame));
 }
 
 void MicroBatcher::score_group(forum::QuestionId question,
@@ -188,9 +207,8 @@ void MicroBatcher::score_group(forum::QuestionId question,
     }
     if (!problem.empty()) {
       FORUMCAST_COUNTER_ADD("net.bad_requests", 1);
-      on_complete_(item->conn_id,
-                   encode_error(request.request_id, ErrorCode::kBadRequest,
-                                std::move(problem)));
+      complete(*item, encode_error(request.request_id,
+                                   ErrorCode::kBadRequest, std::move(problem)));
     } else {
       valid.push_back(item);
     }
@@ -224,13 +242,12 @@ void MicroBatcher::score_group(forum::QuestionId question,
       offset += item->request.users.size();
       std::string frame;
       append_frame(frame, response);
-      on_complete_(item->conn_id, std::move(frame));
+      complete(*item, std::move(frame));
     }
   } catch (const std::exception& error) {
     for (const Item* item : valid) {
-      on_complete_(item->conn_id,
-                   encode_error(item->request.request_id, ErrorCode::kInternal,
-                                error.what()));
+      complete(*item, encode_error(item->request.request_id,
+                                   ErrorCode::kInternal, error.what()));
     }
   }
 }

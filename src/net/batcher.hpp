@@ -18,15 +18,19 @@
 // the queue — and every queued request's latency — grow without bound.
 //
 // Threading: submissions come from the server's event loop; `threads`
-// workers drain the queue; completions are handed back through the
-// CompletionFn (which must be thread-safe — the server's implementation
-// pushes to a locked list and wakes the event loop via eventfd).
+// workers (one per core by default) drain the queue. BatchScorer::score
+// holds its lock only to snapshot the model and cache, so workers scoring
+// different groups run side by side instead of queueing behind one
+// another. Completions are handed back through the CompletionFn (which must
+// be thread-safe — the server's implementation pushes to a locked list and
+// wakes the event loop via eventfd).
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,6 +39,7 @@
 #include "forum/dataset.hpp"
 #include "net/protocol.hpp"
 #include "serve/batch_scorer.hpp"
+#include "util/parallel.hpp"
 
 namespace forumcast::net {
 
@@ -44,8 +49,9 @@ struct BatcherConfig {
   std::size_t max_batch_requests = 256;
   /// Admission bound on queued requests; try_submit() refuses beyond it.
   std::size_t max_queue = 4096;
-  /// Scoring worker threads.
-  std::size_t threads = 1;
+  /// Scoring worker threads: one per core, since score() runs lock-free
+  /// and concurrent groups each use a core.
+  std::size_t threads = util::default_thread_count();
   /// Returns an opaque RAII token holding whatever lock makes scoring safe
   /// against concurrent mutation — replication nodes (a primary ingesting
   /// while serving, a follower applying shipped batches) pass the
@@ -106,8 +112,20 @@ class MicroBatcher {
   void stop();
 
  private:
-  void worker_loop();
+  /// One scoring worker. Idle workers park on their own condition variable
+  /// in a stack, and a submission wakes the one that parked last: under
+  /// light load one warm thread serves every request, and only overlapping
+  /// requests spread across cores.
+  struct Worker {
+    std::condition_variable wake;
+    std::thread thread;
+  };
+
+  void worker_loop(Worker& self);
   void process(std::vector<Item> batch);
+  /// Observes the item's admission-to-completion latency, then hands its
+  /// response frame to the CompletionFn.
+  void complete(const Item& item, std::string frame);
   void score_group(forum::QuestionId question, std::vector<Item*>& group);
   std::string handle_route(const Item& item);
   std::string handle_swap(const Item& item);
@@ -117,11 +135,11 @@ class MicroBatcher {
   BatcherConfig config_;
   CompletionFn on_complete_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
+  mutable std::mutex mutex_;  // guards queue_, stopping_ and idle_
   std::vector<Item> queue_;
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
+  std::vector<Worker*> idle_;  // parked workers, most recent last
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace forumcast::net

@@ -1,10 +1,9 @@
 #include "serve/batch_scorer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <mutex>
-
-#include <chrono>
 
 #include "ml/matrix.hpp"
 #include "ml/workspace.hpp"
@@ -42,80 +41,83 @@ std::vector<core::Prediction> BatchScorer::score(
   FORUMCAST_SPAN_NAMED(span, "serve.batch_score");
   const auto score_start = std::chrono::steady_clock::now();
 
-  std::size_t num_blocks = 0;
+  // Snapshot phase, under the short lock: the served model, the cache bound
+  // to its (swap epoch, generation) token, the immutable user table and the
+  // question block. The shared_ptrs pin all three against a concurrent hot
+  // swap, invalidation or eviction, so the scoring phase below reads them
+  // with no lock held.
+  std::shared_ptr<const core::ForecastPipeline> pipeline;
+  std::shared_ptr<const FeatureCache::UserTable> table;
+  std::shared_ptr<const FeatureCache::QuestionBlock> block;
   std::uint64_t ledger_token = 0;
-  bool quantized_votes = false;
   obs::monitor::QualityMonitor* monitor = nullptr;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // Fill phase (writer side): snapshot the served model, bind the cache to
-    // its (swap epoch, generation) token, and materialize any missing
-    // blocks. The block shared_ptr pins it against eviction by a concurrent
-    // score() of a different question; the pipeline shared_ptr pins the
-    // model itself against a concurrent hot swap.
-    std::shared_ptr<const core::ForecastPipeline> pipeline;
-    std::uint64_t epoch = 0;
-    std::shared_ptr<const FeatureCache::QuestionBlock> block;
-    {
-      std::unique_lock<std::shared_mutex> lock(mutex_);
-      pipeline = pipeline_;
-      epoch = swap_epoch_;
-      FORUMCAST_CHECK(pipeline->fitted());
-      cache_.sync(pipeline->extractor(), pipeline->dataset(),
-                  sync_token(epoch, pipeline->generation()));
-      cache_.warm_users(users);
-      block = cache_.question_block(question);
-      ledger_token = sync_token(epoch, pipeline->generation());
-      monitor = monitor_;  // snapshot under the lock (set_monitor races)
+    pipeline = pipeline_;
+    const std::uint64_t epoch = swap_epoch_;
+    monitor = monitor_;  // snapshot under the lock (set_monitor races)
+    FORUMCAST_CHECK(pipeline->fitted());
+    ledger_token = sync_token(epoch, pipeline->generation());
+    cache_.sync(pipeline->extractor(), pipeline->dataset(), ledger_token);
+    block = cache_.find_question(question);
+    if (block != nullptr) break;
+
+    // Miss: build the block unlocked against the pinned model, then publish
+    // it only if no swap, refit or invalidation landed meanwhile — otherwise
+    // it may be stale, so start over on the current state.
+    const std::uint64_t version = cache_.version();
+    lock.unlock();
+    auto built = cache_.build_question(pipeline->extractor(),
+                                       pipeline->dataset(), question);
+    lock.lock();
+    if (epoch == swap_epoch_ && version == cache_.version()) {
+      block = cache_.publish_question(std::move(built));
+      break;
     }
-
-    const double open_duration = pipeline->question_open_duration(question);
-    const std::size_t dim = pipeline->extractor().dimension();
-    const std::size_t block_rows = config_.block_rows;
-    num_blocks = (users.size() + block_rows - 1) / block_rows;
-
-    // Scoring phase (reader side): assemble each row block and run all three
-    // predictors on it. Blocks are independent, so they shard cleanly.
-    std::shared_lock<std::shared_mutex> read_lock(mutex_);
-    if (epoch != swap_epoch_) {
-      // A hot swap landed in the fill→score lock gap: the warmed cache now
-      // belongs to the new model. Rebuild on it rather than mixing models.
-      FORUMCAST_COUNTER_ADD("serve.swap_retries", 1);
-      continue;
-    }
-    util::parallel_for(
-        num_blocks,
-        [&](std::size_t b) {
-          const std::size_t begin = b * block_rows;
-          const std::size_t end = std::min(users.size(), begin + block_rows);
-          const std::size_t rows = end - begin;
-
-          // Scratch lives in the worker thread's workspace arena — reused
-          // across blocks and score() calls once the arena hits its
-          // high-water mark. assemble writes every element of its row and
-          // the predictors fill every output slot, so the unspecified arena
-          // contents are never read.
-          ml::Workspace::Frame frame;
-          ml::Workspace& ws = frame.workspace();
-          ml::Tensor<double> x = ws.tensor<double>(rows, dim);
-          for (std::size_t r = 0; r < rows; ++r) {
-            cache_.assemble(users[begin + r], *block, x.row(r));
-          }
-
-          std::span<double> answer{ws.alloc<double>(rows), rows};
-          std::span<double> votes{ws.alloc<double>(rows), rows};
-          std::span<double> delay{ws.alloc<double>(rows), rows};
-          pipeline->answer_predictor().predict_probability_batch(x, answer);
-          pipeline->vote_predictor().predict_batch(x, votes);
-          pipeline->timing_predictor().predict_delay_batch(x, open_duration,
-                                                           delay);
-          for (std::size_t r = 0; r < rows; ++r) {
-            predictions[begin + r] = {answer[r], votes[r], delay[r]};
-          }
-        },
-        config_.threads);
-    quantized_votes = pipeline->vote_predictor().quantized();
-    break;
+    FORUMCAST_COUNTER_ADD("serve.swap_retries", 1);
   }
+  cache_.warm_users(users);
+  table = cache_.user_table();
+  lock.unlock();
+
+  // Scoring phase, lock-free: assemble each row block and run all three
+  // predictors on it. Blocks are independent, so they shard cleanly.
+  const double open_duration = pipeline->question_open_duration(question);
+  const std::size_t dim = pipeline->extractor().dimension();
+  const std::size_t block_rows = config_.block_rows;
+  const std::size_t num_blocks = (users.size() + block_rows - 1) / block_rows;
+  util::parallel_for(
+      num_blocks,
+      [&](std::size_t b) {
+        const std::size_t begin = b * block_rows;
+        const std::size_t end = std::min(users.size(), begin + block_rows);
+        const std::size_t rows = end - begin;
+
+        // Scratch lives in the worker thread's workspace arena — reused
+        // across blocks and score() calls once the arena hits its
+        // high-water mark. assemble writes every element of its row and
+        // the predictors fill every output slot, so the unspecified arena
+        // contents are never read.
+        ml::Workspace::Frame frame;
+        ml::Workspace& ws = frame.workspace();
+        ml::Tensor<double> x = ws.tensor<double>(rows, dim);
+        for (std::size_t r = 0; r < rows; ++r) {
+          table->assemble(users[begin + r], *block, x.row(r));
+        }
+
+        std::span<double> answer{ws.alloc<double>(rows), rows};
+        std::span<double> votes{ws.alloc<double>(rows), rows};
+        std::span<double> delay{ws.alloc<double>(rows), rows};
+        pipeline->answer_predictor().predict_probability_batch(x, answer);
+        pipeline->vote_predictor().predict_batch(x, votes);
+        pipeline->timing_predictor().predict_delay_batch(x, open_duration,
+                                                         delay);
+        for (std::size_t r = 0; r < rows; ++r) {
+          predictions[begin + r] = {answer[r], votes[r], delay[r]};
+        }
+      },
+      config_.threads);
+  const bool quantized_votes = pipeline->vote_predictor().quantized();
 
   FORUMCAST_COUNTER_ADD("serve.pairs_scored", users.size());
   FORUMCAST_COUNTER_ADD("serve.batches", 1);
@@ -144,7 +146,7 @@ core::BatchPredictFn BatchScorer::predict_fn() const {
 }
 
 void BatchScorer::invalidate(const CacheInvalidation& invalidation) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   cache_.invalidate(invalidation);
 }
 
@@ -154,7 +156,7 @@ void BatchScorer::swap_model(
                       "swap_model requires a fitted pipeline");
   obs::monitor::QualityMonitor* monitor = nullptr;
   {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     pipeline_ = std::move(next);
     ++swap_epoch_;
     monitor = monitor_;
@@ -169,22 +171,22 @@ void BatchScorer::swap_model(
 }
 
 void BatchScorer::set_monitor(obs::monitor::QualityMonitor* monitor) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   monitor_ = monitor;
 }
 
 std::uint64_t BatchScorer::swap_epoch() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return swap_epoch_;
 }
 
 std::shared_ptr<const core::ForecastPipeline> BatchScorer::pipeline() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return pipeline_;
 }
 
 FeatureCacheStats BatchScorer::cache_stats() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return cache_.stats();
 }
 

@@ -8,16 +8,20 @@
 // util::parallel_for. Scores are bit-identical to the per-pair path; it is
 // purely an execution-layout change.
 //
-// Thread safety: concurrent score() calls are safe. Cache fills run under a
-// writer lock, matrix assembly and model forwards under a reader lock; the
-// only contract (shared with ForecastPipeline::predict) is that fit() must
-// not run concurrently with score().
+// Thread safety: concurrent score() calls are safe and scale with cores.
+// One short mutex section snapshots the served model, the cache's immutable
+// user table and the question block; row assembly and the three forwards
+// then run with no lock held. A missing question block is built outside
+// the lock too and published only if no swap or invalidation landed during
+// the build (otherwise the call starts over). The only contract (shared
+// with ForecastPipeline::predict) is that fit() must not run concurrently
+// with score().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -67,16 +71,18 @@ class BatchScorer {
 
   /// Fine-grained invalidation from the streaming layer: drops exactly the
   /// cached state a batch of live events made stale (see
-  /// FeatureCache::invalidate) under the writer lock, instead of waiting
-  /// for a generation bump to drop everything.
+  /// FeatureCache::invalidate) under the scorer lock, instead of waiting
+  /// for a generation bump to drop everything. In-flight score() calls
+  /// finish on the table and block they snapshotted.
   void invalidate(const CacheInvalidation& invalidation);
 
   /// Atomic hot swap: replaces the served model with `next` (fitted, e.g. a
-  /// freshly loaded bundle) under the writer lock and bumps the swap epoch.
+  /// freshly loaded bundle) under the scorer lock and bumps the swap epoch.
   /// The next score() sees a changed cache token and drops every cached
   /// block, exactly as a refit generation bump does; in-flight score()
-  /// calls that snapshotted the old model before the swap either finish on
-  /// a consistent old-model cache or detect the epoch change and rebuild.
+  /// calls that snapshotted the old model before the swap finish on it
+  /// (their pinned table and block belong to it), and one building a
+  /// question block detects the epoch change and starts over.
   void swap_model(std::shared_ptr<const core::ForecastPipeline> next);
 
   /// Bumped by every swap_model(). Starts at 0.
@@ -105,7 +111,7 @@ class BatchScorer {
 
   std::shared_ptr<const core::ForecastPipeline> pipeline_;
   BatchScorerConfig config_;
-  mutable std::shared_mutex mutex_;
+  mutable std::mutex mutex_;
   mutable FeatureCache cache_;
   std::uint64_t swap_epoch_ = 0;
   obs::monitor::QualityMonitor* monitor_ = nullptr;

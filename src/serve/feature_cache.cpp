@@ -1,6 +1,7 @@
 #include "serve/feature_cache.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 #include "graph/link_features.hpp"
 #include "obs/obs.hpp"
@@ -22,144 +23,39 @@ enum UserSlot : std::size_t {
   kDenseBetweenness,
   kUserScalarSlots,
 };
-}  // namespace
 
-FeatureCache::FeatureCache(std::size_t max_cached_questions)
-    : max_cached_questions_(std::max<std::size_t>(1, max_cached_questions)) {}
+// Spare blocks kept for reuse: enough for the misses a few concurrent
+// scorers have in flight; more would only hold memory.
+constexpr std::size_t kMaxSpareBlocks = 4;
 
-std::size_t FeatureCache::user_stride() const {
-  return kUserScalarSlots + extractor_->num_topics();
+void fill_user_row(const features::FeatureExtractor& extractor,
+                   forum::UserId u, double* row) {
+  const auto& stats = extractor.user_stats(u);
+  row[kAnswersProvided] = static_cast<double>(stats.answers_provided);
+  row[kAnswerRatio] = static_cast<double>(stats.answers_provided) /
+                      (1.0 + static_cast<double>(stats.questions_asked));
+  row[kNetAnswerVotes] = stats.net_answer_votes;
+  row[kMedianResponseTime] = extractor.median_response_time(u);
+  row[kQaCloseness] = extractor.qa_closeness()[u];
+  row[kQaBetweenness] = extractor.qa_betweenness()[u];
+  row[kDenseCloseness] = extractor.dense_closeness()[u];
+  row[kDenseBetweenness] = extractor.dense_betweenness()[u];
+  for (std::size_t k = 0; k < extractor.num_topics(); ++k) {
+    row[kUserScalarSlots + k] = stats.topic_distribution[k];
+  }
 }
 
-std::size_t FeatureCache::dimension() const {
-  FORUMCAST_CHECK(bound_);
-  return extractor_->dimension();
-}
-
-void FeatureCache::sync(const features::FeatureExtractor& extractor,
-                        const forum::Dataset& dataset,
-                        std::uint64_t generation) {
-  if (bound_ && generation == generation_ && extractor_ == &extractor) return;
-  if (bound_) {
-    const std::uint64_t dropped =
-        static_cast<std::uint64_t>(
-            std::count(user_ready_.begin(), user_ready_.end(), 1)) +
-        question_blocks_.size();
-    ++stats_.invalidations;
-    stats_.blocks_dropped += dropped;
-    FORUMCAST_COUNTER_ADD("serve.cache.invalidations", 1);
-    FORUMCAST_COUNTER_ADD("serve.cache.blocks_dropped", dropped);
-  }
-  extractor_ = &extractor;
-  dataset_ = &dataset;
-  generation_ = generation;
-  bound_ = true;
-  user_blocks_.assign(dataset.num_users() * user_stride(), 0.0);
-  user_ready_.assign(dataset.num_users(), 0);
-  question_blocks_.clear();
-}
-
-void FeatureCache::warm_users(std::span<const forum::UserId> users) {
-  FORUMCAST_CHECK(bound_);
-  const std::size_t stride = user_stride();
-  const std::size_t num_topics = extractor_->num_topics();
-  std::uint64_t hits = 0, misses = 0;
-  for (forum::UserId u : users) {
-    FORUMCAST_CHECK(u < user_ready_.size());
-    if (user_ready_[u]) {
-      ++hits;
-      continue;
-    }
-    ++misses;
-    const auto& stats = extractor_->user_stats(u);
-    double* block = user_blocks_.data() + u * stride;
-    block[kAnswersProvided] = static_cast<double>(stats.answers_provided);
-    block[kAnswerRatio] = static_cast<double>(stats.answers_provided) /
-                          (1.0 + static_cast<double>(stats.questions_asked));
-    block[kNetAnswerVotes] = stats.net_answer_votes;
-    block[kMedianResponseTime] = extractor_->median_response_time(u);
-    block[kQaCloseness] = extractor_->qa_closeness()[u];
-    block[kQaBetweenness] = extractor_->qa_betweenness()[u];
-    block[kDenseCloseness] = extractor_->dense_closeness()[u];
-    block[kDenseBetweenness] = extractor_->dense_betweenness()[u];
-    for (std::size_t k = 0; k < num_topics; ++k) {
-      block[kUserScalarSlots + k] = stats.topic_distribution[k];
-    }
-    user_ready_[u] = 1;
-  }
-  stats_.user_hits += hits;
-  stats_.user_misses += misses;
-  FORUMCAST_COUNTER_ADD("serve.cache.user_hits", hits);
-  FORUMCAST_COUNTER_ADD("serve.cache.user_misses", misses);
-}
-
-std::shared_ptr<const FeatureCache::QuestionBlock> FeatureCache::question_block(
-    forum::QuestionId q) {
-  FORUMCAST_CHECK(bound_);
-  if (const auto it = question_blocks_.find(q); it != question_blocks_.end()) {
-    ++stats_.question_hits;
-    FORUMCAST_COUNTER_ADD("serve.cache.question_hits", 1);
-    return it->second;
-  }
-  ++stats_.question_misses;
-  FORUMCAST_COUNTER_ADD("serve.cache.question_misses", 1);
-  if (question_blocks_.size() >= max_cached_questions_) {
-    stats_.question_evictions += question_blocks_.size();
-    FORUMCAST_COUNTER_ADD("serve.cache.question_evictions",
-                          question_blocks_.size());
-    question_blocks_.clear();
-  }
-
-  auto block = std::make_shared<QuestionBlock>();
-  const forum::Thread& thread = dataset_->thread(q);
-  block->question = q;
-  block->asker = thread.question.creator;
-  block->net_votes = static_cast<double>(thread.question.net_votes);
-  block->word_length = extractor_->question_word_length(q);
-  block->code_length = extractor_->question_code_length(q);
-  block->topics = extractor_->question_topics(q);
-  block->asker_topics = extractor_->user_stats(block->asker).topic_distribution;
-  // Similarity of every dataset question's topic mix against d_q: the
-  // TopicWeighted* pair features only ever look these up, so one O(Q·K) pass
-  // here replaces an O(K) recomputation per (answered question, candidate).
-  const std::size_t num_questions = dataset_->num_questions();
-  block->similarity.resize(num_questions);
-  for (forum::QuestionId r = 0; r < num_questions; ++r) {
-    block->similarity[r] = topics::total_variation_similarity(
-        extractor_->question_topics(r), block->topics);
-  }
-
-  // Per-user pair-feature tables (fill_pair_entries): every pair feature is
-  // computed once here — with exactly the calls and accumulation order
-  // FeatureExtractor::features uses, so the values are bit-identical — and
-  // assemble() degrades to plain lookups.
-  const std::size_t num_users = dataset_->num_users();
-  const auto& asker_participated =
-      extractor_->user_stats(block->asker).participated;
-  block->asker_in_thread = std::binary_search(
-      asker_participated.begin(), asker_participated.end(), q);
-  block->user_question_sim.resize(num_users);
-  block->user_asker_sim.resize(num_users);
-  block->weighted_answers.resize(num_users);
-  block->weighted_votes.resize(num_users);
-  block->cooccurrence.resize(num_users);
-  block->ra_qa.resize(num_users);
-  block->ra_dense.resize(num_users);
-  for (forum::UserId u = 0; u < num_users; ++u) {
-    fill_pair_entries(*block, u);
-  }
-  question_blocks_.emplace(q, block);
-  return block;
-}
-
-void FeatureCache::fill_pair_entries(QuestionBlock& block,
-                                     forum::UserId u) const {
+/// Recomputes every per-user pair-feature table entry of `block` for `u`
+/// with exactly the reference arithmetic (shared by the block build and
+/// invalidation repair paths).
+void fill_pair_entries(const features::FeatureExtractor& extractor,
+                       FeatureCache::QuestionBlock& block, forum::UserId u) {
   // The arithmetic below is lifted verbatim from FeatureExtractor::features
   // (same calls, same answered-list accumulation order, same −1
   // co-occurrence correction), so each table entry is the exact double the
   // reference path would produce.
   const forum::QuestionId q = block.question;
-  const auto& stats = extractor_->user_stats(u);
+  const auto& stats = extractor.user_stats(u);
   const std::span<const double> d_u = stats.topic_distribution;
   block.user_question_sim[u] =
       topics::total_variation_similarity(d_u, block.topics);
@@ -176,7 +72,7 @@ void FeatureCache::fill_pair_entries(QuestionBlock& block,
   }
   block.weighted_answers[u] = topic_weighted_answers;
   block.weighted_votes[u] = topic_weighted_votes;
-  double cooccurrence = extractor_->thread_cooccurrence(u, block.asker);
+  double cooccurrence = extractor.thread_cooccurrence(u, block.asker);
   if (block.asker_in_thread &&
       std::binary_search(stats.participated.begin(),
                          stats.participated.end(), q)) {
@@ -184,23 +80,199 @@ void FeatureCache::fill_pair_entries(QuestionBlock& block,
   }
   block.cooccurrence[u] = cooccurrence;
   block.ra_qa[u] =
-      graph::resource_allocation_index(extractor_->qa_graph(), u, block.asker);
+      graph::resource_allocation_index(extractor.qa_graph(), u, block.asker);
   block.ra_dense[u] = graph::resource_allocation_index(
-      extractor_->dense_graph(), u, block.asker);
+      extractor.dense_graph(), u, block.asker);
+}
+
+}  // namespace
+
+FeatureCache::FeatureCache(std::size_t max_cached_questions)
+    : max_cached_questions_(std::max<std::size_t>(1, max_cached_questions)),
+      pool_(std::make_shared<BlockPool>()) {}
+
+std::size_t FeatureCache::dimension() const {
+  FORUMCAST_CHECK(bound_);
+  return extractor_->dimension();
+}
+
+std::shared_ptr<const FeatureCache::UserTable> FeatureCache::build_user_table()
+    const {
+  auto table = std::make_shared<UserTable>();
+  table->extractor_ = extractor_;
+  table->stride_ = kUserScalarSlots + extractor_->num_topics();
+  table->rows_.resize(dataset_->num_users() * table->stride_);
+  for (forum::UserId u = 0; u < dataset_->num_users(); ++u) {
+    fill_user_row(*extractor_, u, table->rows_.data() + u * table->stride_);
+  }
+  return table;
+}
+
+std::uint64_t FeatureCache::reset() {
+  const std::uint64_t dropped =
+      static_cast<std::uint64_t>(
+          std::count(user_seen_.begin(), user_seen_.end(), 1)) +
+      lru_.size();
+  index_.clear();
+  lru_.clear();
+  user_seen_.assign(dataset_->num_users(), 0);
+  users_ = build_user_table();
+  return dropped;
+}
+
+void FeatureCache::sync(const features::FeatureExtractor& extractor,
+                        const forum::Dataset& dataset,
+                        std::uint64_t generation) {
+  if (bound_ && generation == generation_ && extractor_ == &extractor) return;
+  const bool rebind = bound_;
+  extractor_ = &extractor;
+  dataset_ = &dataset;
+  generation_ = generation;
+  bound_ = true;
+  ++version_;
+  const std::uint64_t dropped = reset();
+  if (rebind) {
+    ++stats_.invalidations;
+    stats_.blocks_dropped += dropped;
+    FORUMCAST_COUNTER_ADD("serve.cache.invalidations", 1);
+    FORUMCAST_COUNTER_ADD("serve.cache.blocks_dropped", dropped);
+  }
+}
+
+void FeatureCache::warm_users(std::span<const forum::UserId> users) {
+  FORUMCAST_CHECK(bound_);
+  std::uint64_t hits = 0, misses = 0;
+  for (forum::UserId u : users) {
+    FORUMCAST_CHECK(u < user_seen_.size());
+    if (user_seen_[u]) {
+      ++hits;
+    } else {
+      ++misses;
+      user_seen_[u] = 1;
+    }
+  }
+  stats_.user_hits += hits;
+  stats_.user_misses += misses;
+  FORUMCAST_COUNTER_ADD("serve.cache.user_hits", hits);
+  FORUMCAST_COUNTER_ADD("serve.cache.user_misses", misses);
+}
+
+std::shared_ptr<const FeatureCache::QuestionBlock> FeatureCache::question_block(
+    forum::QuestionId q) {
+  if (auto hit = find_question(q)) return hit;
+  return publish_question(build_question(*extractor_, *dataset_, q));
+}
+
+std::shared_ptr<const FeatureCache::QuestionBlock> FeatureCache::find_question(
+    forum::QuestionId q) {
+  FORUMCAST_CHECK(bound_);
+  const auto it = index_.find(q);
+  if (it == index_.end()) {
+    ++stats_.question_misses;
+    FORUMCAST_COUNTER_ADD("serve.cache.question_misses", 1);
+    return nullptr;
+  }
+  ++stats_.question_hits;
+  FORUMCAST_COUNTER_ADD("serve.cache.question_hits", 1);
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return *it->second;
+}
+
+std::shared_ptr<const FeatureCache::QuestionBlock>
+FeatureCache::publish_question(std::shared_ptr<const QuestionBlock> block) {
+  FORUMCAST_CHECK(bound_ && block != nullptr);
+  if (const auto it = index_.find(block->question); it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return *it->second;
+  }
+  if (lru_.size() >= max_cached_questions_) {
+    index_.erase(lru_.back()->question);
+    lru_.pop_back();
+    ++stats_.question_evictions;
+    FORUMCAST_COUNTER_ADD("serve.cache.question_evictions", 1);
+  }
+  lru_.push_front(std::move(block));
+  index_.emplace(lru_.front()->question, lru_.begin());
+  return lru_.front();
+}
+
+std::shared_ptr<FeatureCache::QuestionBlock> FeatureCache::acquire_block()
+    const {
+  std::unique_ptr<QuestionBlock> block;
+  {
+    const std::lock_guard<std::mutex> lock(pool_->mutex);
+    if (!pool_->spare.empty()) {
+      block = std::move(pool_->spare.back());
+      pool_->spare.pop_back();
+    }
+  }
+  if (!block) block = std::make_unique<QuestionBlock>();
+  // The deleter runs on whichever thread drops the last reference; the
+  // pool's mutex orders that reader's last access before the next fill.
+  return std::shared_ptr<QuestionBlock>(
+      block.release(), [pool = pool_](QuestionBlock* retired) {
+        std::unique_ptr<QuestionBlock> owned(retired);
+        const std::lock_guard<std::mutex> lock(pool->mutex);
+        if (pool->spare.size() < kMaxSpareBlocks) {
+          pool->spare.push_back(std::move(owned));
+        }
+      });
+}
+
+std::shared_ptr<const FeatureCache::QuestionBlock> FeatureCache::build_question(
+    const features::FeatureExtractor& extractor, const forum::Dataset& dataset,
+    forum::QuestionId q) const {
+  std::shared_ptr<QuestionBlock> block = acquire_block();
+  const forum::Thread& thread = dataset.thread(q);
+  block->question = q;
+  block->asker = thread.question.creator;
+  block->net_votes = static_cast<double>(thread.question.net_votes);
+  block->word_length = extractor.question_word_length(q);
+  block->code_length = extractor.question_code_length(q);
+  block->topics = extractor.question_topics(q);
+  block->asker_topics = extractor.user_stats(block->asker).topic_distribution;
+  // Similarity of every dataset question's topic mix against d_q: the
+  // TopicWeighted* pair features only ever look these up, so one O(Q·K) pass
+  // here replaces an O(K) recomputation per (answered question, candidate).
+  const std::size_t num_questions = dataset.num_questions();
+  block->similarity.resize(num_questions);
+  for (forum::QuestionId r = 0; r < num_questions; ++r) {
+    block->similarity[r] = topics::total_variation_similarity(
+        extractor.question_topics(r), block->topics);
+  }
+
+  // Per-user pair-feature tables (fill_pair_entries): every pair feature is
+  // computed once here — with exactly the calls and accumulation order
+  // FeatureExtractor::features uses, so the values are bit-identical — and
+  // assemble() degrades to plain lookups. Recycled storage keeps its
+  // capacity, so resize() allocates nothing for a same-sized dataset.
+  const std::size_t num_users = dataset.num_users();
+  const auto& asker_participated =
+      extractor.user_stats(block->asker).participated;
+  block->asker_in_thread = std::binary_search(
+      asker_participated.begin(), asker_participated.end(), q);
+  block->user_question_sim.resize(num_users);
+  block->user_asker_sim.resize(num_users);
+  block->weighted_answers.resize(num_users);
+  block->weighted_votes.resize(num_users);
+  block->cooccurrence.resize(num_users);
+  block->ra_qa.resize(num_users);
+  block->ra_dense.resize(num_users);
+  for (forum::UserId u = 0; u < num_users; ++u) {
+    fill_pair_entries(extractor, *block, u);
+  }
+  return block;
 }
 
 void FeatureCache::invalidate(const CacheInvalidation& invalidation) {
   if (!bound_) return;
   ++stats_.invalidations;
+  ++version_;
   FORUMCAST_COUNTER_ADD("serve.cache.invalidations", 1);
   std::uint64_t dropped = 0;
 
   if (invalidation.drop_all) {
-    dropped = static_cast<std::uint64_t>(
-                  std::count(user_ready_.begin(), user_ready_.end(), 1)) +
-              question_blocks_.size();
-    std::fill(user_ready_.begin(), user_ready_.end(), 0);
-    question_blocks_.clear();
+    dropped = reset();
     stats_.blocks_dropped += dropped;
     FORUMCAST_COUNTER_ADD("serve.cache.blocks_dropped", dropped);
     return;
@@ -217,18 +289,20 @@ void FeatureCache::invalidate(const CacheInvalidation& invalidation) {
   // columns); repair survivors copy-on-write — concurrent scorers may still
   // hold the old shared_ptr, which stays internally consistent.
   const std::size_t num_questions = dataset_->num_questions();
-  for (auto it = question_blocks_.begin(); it != question_blocks_.end();) {
-    const auto& old_block = it->second;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    const QuestionBlock& old_block = **it;
     if (std::binary_search(questions.begin(), questions.end(),
-                           old_block->question) ||
-        std::binary_search(users.begin(), users.end(), old_block->asker)) {
+                           old_block.question) ||
+        std::binary_search(users.begin(), users.end(), old_block.asker)) {
       ++dropped;
-      it = question_blocks_.erase(it);
+      index_.erase(old_block.question);
+      it = lru_.erase(it);
       continue;
     }
-    const bool grow = old_block->similarity.size() < num_questions;
+    const bool grow = old_block.similarity.size() < num_questions;
     if (grow || !users.empty()) {
-      auto fresh = std::make_shared<QuestionBlock>(*old_block);
+      std::shared_ptr<QuestionBlock> fresh = acquire_block();
+      *fresh = old_block;
       if (grow) {
         const auto old_size =
             static_cast<forum::QuestionId>(fresh->similarity.size());
@@ -239,39 +313,49 @@ void FeatureCache::invalidate(const CacheInvalidation& invalidation) {
         }
       }
       for (const forum::UserId u : users) {
-        fill_pair_entries(*fresh, u);
+        fill_pair_entries(*extractor_, *fresh, u);
       }
-      it->second = std::move(fresh);
+      *it = std::move(fresh);
     }
     ++it;
   }
 
-  // User blocks: a cleared ready bit is a drop — warm_users rebuilds from
-  // the refreshed extractor on next use.
-  for (const forum::UserId u : users) {
-    if (u < user_ready_.size() && user_ready_[u]) {
-      user_ready_[u] = 0;
+  // User rows: rebuilt in a copy of the table, so scorers that snapshotted
+  // the old one finish on it. A user requested since its row's last build
+  // counts as a dropped block, and its next request as a miss again.
+  const std::size_t num_users = user_seen_.size();
+  std::shared_ptr<UserTable> table;
+  auto refresh = [&](forum::UserId u) {
+    if (u >= num_users) return;
+    if (!table) table = std::make_shared<UserTable>(*users_);
+    fill_user_row(*extractor_, u, table->rows_.data() + u * table->stride_);
+    if (user_seen_[u]) {
+      user_seen_[u] = 0;
       ++dropped;
     }
-  }
-  for (const forum::UserId u : invalidation.scalar_users) {
-    if (u < user_ready_.size() && user_ready_[u]) {
-      user_ready_[u] = 0;
-      ++dropped;
-    }
-  }
+  };
+  for (const forum::UserId u : users) refresh(u);
+  for (const forum::UserId u : invalidation.scalar_users) refresh(u);
+  if (table) users_ = std::move(table);
   stats_.blocks_dropped += dropped;
   FORUMCAST_COUNTER_ADD("serve.cache.blocks_dropped", dropped);
 }
 
 void FeatureCache::assemble(forum::UserId u, const QuestionBlock& block,
                             std::span<double> row) const {
+  FORUMCAST_CHECK(bound_);
+  users_->assemble(u, block, row);
+}
+
+void FeatureCache::UserTable::assemble(forum::UserId u,
+                                       const QuestionBlock& block,
+                                       std::span<double> row) const {
   using features::FeatureId;
   const auto& layout = extractor_->layout();
   FORUMCAST_CHECK(row.size() == layout.dimension());
-  FORUMCAST_CHECK(u < user_ready_.size() && user_ready_[u]);
+  FORUMCAST_CHECK(static_cast<std::size_t>(u) * stride_ < rows_.size());
   const std::size_t num_topics = extractor_->num_topics();
-  const double* user = user_blocks_.data() + u * user_stride();
+  const double* user = rows_.data() + u * stride_;
   const std::span<const double> d_u(user + kUserScalarSlots, num_topics);
 
   auto put = [&](FeatureId id, double value) { row[layout.offset(id)] = value; };

@@ -6,7 +6,7 @@
 // expensive part — evaluates a topic-similarity term against every question
 // the user ever answered. Bulk scoring hits the same users and the same
 // question over and over, so FeatureCache materializes
-//   * one block per user   — a_u, o_u, v_u, r_u, d_u plus the four
+//   * one row per user     — a_u, o_u, v_u, r_u, d_u plus the four
 //     centrality scores (everything that depends only on u), and
 //   * one block per question — v_q, word/code lengths, d_q, the asker's
 //     topic profile, and a table of topic similarities sim(d_r, d_q) for
@@ -22,12 +22,24 @@
 // when they differ (the extractor object itself is replaced on refit, so
 // stale blocks would dangle, not just mislead).
 //
-// FeatureCache itself is not synchronized; serve::BatchScorer wraps it in a
-// reader/writer lock (fills take the writer side, assembly the reader side).
+// Everything a scorer reads is immutable once published: the per-user rows
+// live in one UserTable per binding (built at sync(), replaced copy-on-write
+// by invalidate()), and question blocks are shared_ptr<const QuestionBlock>
+// in a bounded LRU. A scorer therefore snapshots (user table, block) under
+// its own short lock and assembles rows with no lock held. A missing block
+// can be built with no lock held too (build_question), then published if
+// version() shows no sync or invalidation landed meanwhile. Block storage is
+// recycled: an evicted block's vectors go back to a small pool once its last
+// reader drops it, and the next miss fills them in place.
+//
+// FeatureCache itself is not synchronized: serve::BatchScorer calls every
+// member except build_question() and the UserTable reads under one mutex.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +54,7 @@ struct FeatureCacheStats {
   std::uint64_t user_misses = 0;
   std::uint64_t question_hits = 0;
   std::uint64_t question_misses = 0;
+  /// Question blocks pushed out of the LRU by the capacity bound.
   std::uint64_t question_evictions = 0;
   /// Invalidation *events*: generation changes observed by sync() plus
   /// explicit invalidate() calls. One event may drop many blocks.
@@ -74,17 +87,18 @@ struct CacheInvalidation {
 
 class FeatureCache {
  public:
-  /// `max_cached_questions` bounds the per-question block map; the map is
-  /// cleared wholesale when it would exceed the cap (bulk scoring touches one
-  /// question at a time, so anything beyond a small working set is cold).
+  /// `max_cached_questions` bounds the question-block LRU: a miss that would
+  /// exceed it evicts the least recently used block.
   explicit FeatureCache(std::size_t max_cached_questions = 64);
 
   /// Binds the cache to the extractor of pipeline generation `generation`.
-  /// A generation change invalidates every cached block.
+  /// A generation change invalidates every cached block; a (re)bind builds
+  /// the user table for every dataset user.
   void sync(const features::FeatureExtractor& extractor,
             const forum::Dataset& dataset, std::uint64_t generation);
 
-  /// Materializes blocks for any of `users` that miss. Requires sync().
+  /// Records the first request of each of `users` since the last (re)build
+  /// of its row as a miss, later ones as hits. Requires sync().
   void warm_users(std::span<const forum::UserId> users);
 
   struct QuestionBlock {
@@ -113,28 +127,71 @@ class FeatureCache {
     std::vector<double> ra_dense;           ///< dense-graph resource allocation
   };
 
+  /// The user features of one binding: one flat row per dataset user
+  /// (8 scalars followed by the K entries of d_u). Immutable once
+  /// published, so any number of threads may assemble from it lock-free.
+  class UserTable {
+   public:
+    /// Writes x_{u,q} into `row` (`dimension()` wide) from this table and
+    /// `block`, which must come from the same binding.
+    void assemble(forum::UserId u, const QuestionBlock& block,
+                  std::span<double> row) const;
+
+   private:
+    friend class FeatureCache;
+    const features::FeatureExtractor* extractor_ = nullptr;
+    std::size_t stride_ = 0;
+    std::vector<double> rows_;
+  };
+
   /// Returns the block for `q`, building it on first use. The shared_ptr
   /// keeps the block alive across a later eviction. Requires sync().
+  /// Equivalent to find_question, then build_question + publish_question.
   std::shared_ptr<const QuestionBlock> question_block(forum::QuestionId q);
+
+  /// The cached block for `q` (marked most recently used; counts a hit), or
+  /// nullptr (counts a miss). Requires sync().
+  std::shared_ptr<const QuestionBlock> find_question(forum::QuestionId q);
+
+  /// Builds the block for `q` from `extractor`/`dataset` into recycled
+  /// storage without touching the cache's index, so callers may run it
+  /// outside the lock that guards every other member. Publish the result
+  /// only if version() still equals the value read before the build.
+  std::shared_ptr<const QuestionBlock> build_question(
+      const features::FeatureExtractor& extractor,
+      const forum::Dataset& dataset, forum::QuestionId q) const;
+
+  /// Inserts a block from build_question into the LRU, evicting the least
+  /// recently used one at the cap. If another caller published the same
+  /// question first, that block is kept and returned instead.
+  std::shared_ptr<const QuestionBlock> publish_question(
+      std::shared_ptr<const QuestionBlock> block);
+
+  /// Bumped by every (re)bind and every invalidate(): a block built from an
+  /// older version may be stale.
+  std::uint64_t version() const { return version_; }
+
+  /// The current user table; nullptr before sync().
+  std::shared_ptr<const UserTable> user_table() const { return users_; }
 
   /// Fine-grained invalidation after in-place streamed updates (same
   /// extractor object, same generation). Contract, assuming the extractor
   /// has been stream_refresh()ed:
-  ///   * drop_all — every warmed block is discarded;
-  ///   * otherwise user blocks of `users` ∪ `scalar_users` are discarded,
-  ///     question blocks of `questions` or asked by a user in `users` are
-  ///     discarded, and every surviving question block is repaired
-  ///     copy-on-write: its similarity table is extended to newly appended
-  ///     dataset questions and the rows of `users` are recomputed with the
-  ///     reference arithmetic.
-  /// Afterwards assemble() via warm_users()/question_block() is again
-  /// bit-identical to a cold cache over the updated extractor. No-op when
-  /// the cache was never bound. Writer-side: callers synchronize like sync().
+  ///   * drop_all — every cached question block is discarded and the user
+  ///     table is rebuilt;
+  ///   * otherwise the rows of `users` ∪ `scalar_users` are rebuilt in a
+  ///     copy of the user table, question blocks of `questions` or asked by
+  ///     a user in `users` are discarded, and every surviving question block
+  ///     is repaired copy-on-write: its similarity table is extended to
+  ///     newly appended dataset questions and the rows of `users` are
+  ///     recomputed with the reference arithmetic.
+  /// Afterwards assemble() is again bit-identical to a cold cache over the
+  /// updated extractor; tables and blocks handed out before stay intact.
+  /// No-op when the cache was never bound.
   void invalidate(const CacheInvalidation& invalidation);
 
-  /// Writes x_{u,q} into `row` (`dimension()` wide). The user must have been
-  /// warmed and `block` obtained from this cache since the last sync().
-  /// Read-only: safe to call concurrently with other assemble() calls.
+  /// Writes x_{u,q} into `row` (`dimension()` wide) from the current user
+  /// table. `block` must come from this cache since the last sync().
   void assemble(forum::UserId u, const QuestionBlock& block,
                 std::span<double> row) const;
 
@@ -143,24 +200,35 @@ class FeatureCache {
   const FeatureCacheStats& stats() const { return stats_; }
 
  private:
-  std::size_t user_stride() const;
-  /// Recomputes every per-user pair-feature table entry of `block` for `u`
-  /// with exactly the reference arithmetic (shared by the block build and
-  /// invalidation repair paths).
-  void fill_pair_entries(QuestionBlock& block, forum::UserId u) const;
+  /// Evicted and dropped blocks come back here once their last reader lets
+  /// go; shared with every handed-out block's deleter, so it may outlive
+  /// the cache.
+  struct BlockPool {
+    std::mutex mutex;
+    std::vector<std::unique_ptr<QuestionBlock>> spare;
+  };
+
+  std::shared_ptr<QuestionBlock> acquire_block() const;
+  std::shared_ptr<const UserTable> build_user_table() const;
+  /// Drops every question block and rebuilds the user table for the bound
+  /// extractor; returns how many warmed blocks that discarded.
+  std::uint64_t reset();
 
   const features::FeatureExtractor* extractor_ = nullptr;
   const forum::Dataset* dataset_ = nullptr;
   std::uint64_t generation_ = 0;
+  std::uint64_t version_ = 0;
   bool bound_ = false;
   std::size_t max_cached_questions_;
 
-  // User blocks live in one flat rows × stride array (stride = 8 scalars
-  // followed by the K entries of d_u); user_ready_ marks filled rows.
-  std::vector<double> user_blocks_;
-  std::vector<std::uint8_t> user_ready_;
-  std::unordered_map<forum::QuestionId, std::shared_ptr<const QuestionBlock>>
-      question_blocks_;
+  std::shared_ptr<const UserTable> users_;
+  std::vector<std::uint8_t> user_seen_;  ///< requested since the row's build
+  /// Most recently used first; index_ points into it.
+  std::list<std::shared_ptr<const QuestionBlock>> lru_;
+  std::unordered_map<forum::QuestionId,
+                     std::list<std::shared_ptr<const QuestionBlock>>::iterator>
+      index_;
+  std::shared_ptr<BlockPool> pool_;
 
   FeatureCacheStats stats_;
 };

@@ -550,6 +550,9 @@ TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
   WorkerGate gate;
   BatcherConfig config;
   config.max_batch_requests = 8;
+  // One worker: the test stalls it, and a second idle worker would take
+  // the queued requests instead of letting them coalesce.
+  config.threads = 1;
   config.read_guard = gate.hook();
   MicroBatcher batcher(
       scorer, fixture.dataset, config,

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <thread>
@@ -369,6 +371,140 @@ TEST(BatchScorer, ConcurrentScoresMatchScalar) {
       EXPECT_EQ(results[i][u].delay_hours, scalar.delay_hours);
     }
   }
+}
+
+bool bit_equal(const std::vector<core::Prediction>& a,
+               const std::vector<core::Prediction>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i].answer_probability) !=
+            std::bit_cast<std::uint64_t>(b[i].answer_probability) ||
+        std::bit_cast<std::uint64_t>(a[i].votes) !=
+            std::bit_cast<std::uint64_t>(b[i].votes) ||
+        std::bit_cast<std::uint64_t>(a[i].delay_hours) !=
+            std::bit_cast<std::uint64_t>(b[i].delay_hours)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(BatchScorer, ColdScoresRacingInvalidationAndSwapMatchColdScorer) {
+  // Scorers build cold question blocks outside the scorer lock while a
+  // mutator drops everything, invalidates single users and questions, and
+  // hot-swaps between two different models. Every answer must be bit-equal
+  // to a cold scorer over one of the two models — never a mix of both and
+  // never a block published across a swap or invalidation.
+  auto& fixture = ServeFixture::instance();
+  const auto model_a = std::shared_ptr<const core::ForecastPipeline>(
+      std::shared_ptr<const core::ForecastPipeline>(), &fixture.pipeline);
+  auto fitted_b =
+      std::make_shared<core::ForecastPipeline>(fast_pipeline_config());
+  fitted_b->fit(fixture.dataset, fixture.dataset.questions_in_days(1, 20));
+  const std::shared_ptr<const core::ForecastPipeline> model_b = fitted_b;
+
+  const auto users = all_users(fixture.dataset);
+  const auto questions = sample_questions(fixture.dataset, 12, 919);
+  std::vector<std::vector<core::Prediction>> expect_a, expect_b;
+  {
+    const BatchScorer cold_a(*model_a);
+    const BatchScorer cold_b(*model_b);
+    for (const auto q : questions) {
+      expect_a.push_back(cold_a.score(q, users));
+      expect_b.push_back(cold_b.score(q, users));
+    }
+  }
+  ASSERT_FALSE(bit_equal(expect_a[0], expect_b[0]))
+      << "the two models must answer differently for the test to bite";
+
+  // Two cached questions: nearly every score builds its block cold.
+  BatchScorer scorer(model_a, {.block_rows = 64, .max_cached_questions = 2});
+  std::atomic<bool> stop{false};
+  std::thread mutator([&] {
+    for (std::size_t round = 0; !stop.load(); ++round) {
+      switch (round % 3) {
+        case 0:
+          scorer.invalidate({.drop_all = true});
+          break;
+        case 1:
+          scorer.invalidate({.users = {users[3], users[40]},
+                             .scalar_users = {users[7]},
+                             .questions = {questions[0], questions[5]}});
+          break;
+        default:
+          scorer.swap_model(round % 2 == 0 ? model_a : model_b);
+          break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+
+  constexpr std::size_t kScorers = 3;
+  constexpr std::size_t kPasses = 3;
+  std::vector<std::vector<std::vector<core::Prediction>>> answers(kScorers);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kScorers; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t pass = 0; pass < kPasses; ++pass) {
+        for (std::size_t i = 0; i < questions.size(); ++i) {
+          answers[t].push_back(scorer.score(questions[i], users));
+        }
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  stop.store(true);
+  mutator.join();
+
+  for (std::size_t t = 0; t < kScorers; ++t) {
+    ASSERT_EQ(answers[t].size(), kPasses * questions.size());
+    for (std::size_t k = 0; k < answers[t].size(); ++k) {
+      const std::size_t i = k % questions.size();
+      EXPECT_TRUE(bit_equal(answers[t][k], expect_a[i]) ||
+                  bit_equal(answers[t][k], expect_b[i]))
+          << "scorer " << t << " answer " << k << " q=" << questions[i];
+    }
+  }
+  EXPECT_GT(scorer.swap_epoch(), 0u);
+}
+
+TEST(FeatureCache, HotQuestionSurvivesCapPlusOneMisses) {
+  auto& fixture = ServeFixture::instance();
+  const std::size_t cap = 3;
+  FeatureCache cache(cap);
+  cache.sync(fixture.pipeline.extractor(), fixture.dataset,
+             fixture.pipeline.generation());
+  const forum::QuestionId hot = 0;
+  const auto first = cache.question_block(hot);
+  for (std::size_t i = 1; i <= cap + 1; ++i) {
+    cache.question_block(static_cast<forum::QuestionId>(i));
+    EXPECT_EQ(cache.question_block(hot).get(), first.get()) << "miss " << i;
+  }
+  const FeatureCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.question_misses, cap + 2);
+  EXPECT_EQ(stats.question_hits, cap + 1);
+  // cap + 2 distinct blocks through a cap-sized LRU: exactly two evicted,
+  // both cold ones.
+  EXPECT_EQ(stats.question_evictions, 2u);
+}
+
+TEST(FeatureCache, EvictedBlockStorageIsRecycled) {
+  auto& fixture = ServeFixture::instance();
+  FeatureCache cache(1);
+  cache.sync(fixture.pipeline.extractor(), fixture.dataset,
+             fixture.pipeline.generation());
+  const double* storage = cache.question_block(0)->similarity.data();
+  cache.question_block(1);  // evicts block 0; nobody else holds it
+  const auto reused = cache.question_block(2);
+  EXPECT_EQ(reused->similarity.data(), storage);
+  // The recycled block is rebuilt in full: same bits as a fresh cache's.
+  FeatureCache fresh(1);
+  fresh.sync(fixture.pipeline.extractor(), fixture.dataset,
+             fixture.pipeline.generation());
+  const auto expected = fresh.question_block(2);
+  EXPECT_EQ(reused->similarity, expected->similarity);
+  EXPECT_EQ(reused->weighted_votes, expected->weighted_votes);
+  EXPECT_EQ(reused->ra_dense, expected->ra_dense);
 }
 
 TEST(BatchScorer, ValidatesArguments) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,6 +65,85 @@ TEST(ParallelFor, NullBodyRejected) {
 
 TEST(ParallelFor, DefaultThreadCountPositive) {
   EXPECT_GE(default_thread_count(), 1u);
+}
+
+TEST(ParallelFor, NestedCallsFromConcurrentCallersComplete) {
+  // Four callers at once, each body calling parallel_for again: callers
+  // work on their own ranges, so nesting cannot deadlock on the helpers.
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 64;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& row : hits) row = std::vector<std::atomic<int>>(kOuter * kInner);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      parallel_for(
+          kOuter,
+          [&](std::size_t i) {
+            parallel_for(
+                kInner,
+                [&](std::size_t j) { hits[c][i * kInner + j].fetch_add(1); },
+                4);
+          },
+          4);
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t k = 0; k < kOuter * kInner; ++k) {
+      ASSERT_EQ(hits[c][k].load(), 1) << "caller " << c << " index " << k;
+    }
+  }
+}
+
+TEST(ParallelFor, NestedExceptionsReachEveryConcurrentCaller) {
+  std::atomic<int> caught{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      try {
+        parallel_for(
+            8,
+            [](std::size_t i) {
+              parallel_for(
+                  32,
+                  [i](std::size_t j) {
+                    if (i == 5 && j == 17) throw std::runtime_error("inner");
+                  },
+                  4);
+            },
+            4);
+      } catch (const std::runtime_error&) {
+        caught.fetch_add(1);
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(caught.load(), 4);
+  // The pool is still healthy afterwards.
+  std::atomic<int> sum{0};
+  parallel_for(100, [&](std::size_t) { sum.fetch_add(1); }, 4);
+  EXPECT_EQ(sum.load(), 100);
+}
+
+TEST(ParallelFor, ThousandCallsRunOnABoundedSetOfThreads) {
+  // Kernel thread ids are not recycled between nearby thread creations, so
+  // a pool that spawned per call would show thousands of distinct ids here.
+  std::mutex mutex;
+  std::set<pid_t> tids;
+  for (int call = 0; call < 1000; ++call) {
+    parallel_for(
+        64,
+        [&](std::size_t) {
+          const pid_t tid = ::gettid();
+          const std::lock_guard<std::mutex> lock(mutex);
+          tids.insert(tid);
+        },
+        4);
+  }
+  EXPECT_LE(tids.size(), default_thread_count());
+  EXPECT_TRUE(tids.count(::gettid()));  // the caller takes its share
 }
 
 // ---------- chunked variant ----------

@@ -695,12 +695,15 @@ void publish_port_file(const std::string& port_file, std::uint16_t port) {
 net::ServerConfig daemon_server_config(const Args& args) {
   net::ServerConfig config;
   config.port = static_cast<std::uint16_t>(args.get_int("listen", 0));
+  // Absent flags keep the library defaults (BatcherConfig).
+  const auto flag = [&args](const char* key, std::size_t fallback) {
+    return static_cast<std::size_t>(
+        args.get_int(key, static_cast<long>(fallback)));
+  };
   config.batcher.max_batch_requests =
-      static_cast<std::size_t>(args.get_int("max-batch", 256));
-  config.batcher.max_queue =
-      static_cast<std::size_t>(args.get_int("queue-cap", 4096));
-  config.batcher.threads =
-      static_cast<std::size_t>(args.get_int("net-threads", 1));
+      flag("max-batch", config.batcher.max_batch_requests);
+  config.batcher.max_queue = flag("queue-cap", config.batcher.max_queue);
+  config.batcher.threads = flag("net-threads", config.batcher.threads);
   return config;
 }
 
@@ -1160,7 +1163,7 @@ void usage() {
                "           [--port-file FILE]   publish the bound port\n"
                "           [--max-batch N]      micro-batch size cap (256)\n"
                "           [--queue-cap N]      admission queue bound (4096)\n"
-               "           [--net-threads N]    scoring workers (1)\n"
+               "           [--net-threads N]    scoring workers (one per core)\n"
                "  predict  --data posts.csv --question Q [--history-days D] [--top K]\n"
                "  route    --data posts.csv [--history-days D] [--lambda L] [--epsilon E]\n"
                "  evaluate --data posts.csv [--folds F] [--repeats R]\n"

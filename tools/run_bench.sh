@@ -6,7 +6,7 @@
 # benchmark, and the model-artifact save/load benchmark in google-benchmark
 # JSON mode, writes BENCH_serve.json / BENCH_micro.json / BENCH_stream.json /
 # BENCH_fit.json / BENCH_artifact.json / BENCH_monitor.json / BENCH_net.json
-# (wire-serving daemon throughput) / BENCH_replica.json /
+# (wire-serving daemon throughput + cold-question worker sweep) / BENCH_replica.json /
 # BENCH_centrality.json (exact vs sampled vs incremental) / BENCH_ml.json
 # (fp32 vs int8 vote-MLP forward + workspace arena) into --out-dir, and
 # fails if batched scoring at 256 candidates is not at least
@@ -377,6 +377,17 @@ for name in sorted(benches):
         guard = rate
 if guard is None:
     sys.exit(f"missing BM_NetScore/64 results in {path}")
+# Cold-question worker sweep: reported, not gated (it scales with cores).
+cold = {
+    int(bench.get("workers", 0)): bench.get("items_per_second", 0.0)
+    for name, bench in benches.items()
+    if name.startswith("BM_NetScoreColdWorkers/")
+}
+if cold.get(1):
+    scaling = ", ".join(f"{w} workers {rate / cold[1]:.2f}x"
+                        for w, rate in sorted(cold.items()) if w > 1)
+    print(f"cold-question worker sweep vs 1 worker "
+          f"({report['context'].get('num_cpus')} cpus): {scaling}")
 if min_rps is None:
     print(f"BENCH_NET_MIN_RPS unset: reporting only (BM_NetScore/64 at "
           f"{guard:,.0f} req/sec; the bar on quiet hardware is 50,000)")
