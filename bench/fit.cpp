@@ -1,16 +1,17 @@
-// End-to-end and per-stage training throughput for the fit-threads knob.
+// Training throughput: the whole pipeline fit, the point-process timing fit
+// that dominates it, and the guarded kernel of that fit.
 //
-// Guards the PR-4 win: `pipeline.fit` with --fit-threads=8 must beat
-// --fit-threads=1 by a wide margin (tools/run_bench.sh enforces the ratio
-// via BENCH_FIT_MIN_SPEEDUP). On a single-core runner the speedup comes from
-// the batched execution layout the knob switches on — one gemm forward per
-// net per row instead of two scalar forwards plus a scalar backward — so the
-// ratio is a lower bound for multi-core hardware, where the sharded LDA and
-// column-sharded gradient accumulation add real parallelism on top.
+// Every network trainer has one layout: each minibatch is one gemm-backed
+// forward and backward over its flattened rows. The guard
+// (tools/run_bench.sh, BENCH_FIT_MIN_SPEEDUP) is the speedup of that layout
+// over the per-sample Mlp::Tape reference, measured on one excitation-net
+// minibatch: BM_TimingNetStepBatched over BM_TimingNetStepPerSample, rows per
+// second. Both produce bit-identical gradients (checked in the bench itself),
+// so rows per second is the only axis.
 //
-// The 1-thread and N-thread fits produce bit-identical models for every
-// stage except LDA (see fit_parallel_test.cpp), so items_per_second is the
-// only axis.
+// BM_PipelineFit/{1,8} is a report, not a guard: --fit-threads only shards
+// LDA now, so the 8-vs-1 ratio measures AD-LDA sharding and scales with the
+// host's cores.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -19,6 +20,8 @@
 #include "core/pipeline.hpp"
 #include "core/timing_predictor.hpp"
 #include "forum/generator.hpp"
+#include "ml/matrix.hpp"
+#include "ml/mlp.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -107,10 +110,8 @@ std::vector<core::TimingThread> synthetic_timing_threads(std::size_t n,
 
 void BM_TimingFit(benchmark::State& state) {
   static const auto threads_data = synthetic_timing_threads(250, 34);
-  const auto fit_threads = static_cast<std::size_t>(state.range(0));
   core::TimingPredictorConfig config;
   config.epochs = 10;
-  config.threads = fit_threads;
   for (auto _ : state) {
     core::TimingPredictor predictor(config);
     predictor.fit(threads_data);
@@ -119,7 +120,87 @@ void BM_TimingFit(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(threads_data.size()));
 }
-BENCHMARK(BM_TimingFit)->Arg(1)->Arg(8)->Unit(benchmark::kSecond);
+BENCHMARK(BM_TimingFit)->Unit(benchmark::kSecond);
+
+// One minibatch of the timing fit's excitation net f_Θ at production shape:
+// 34 features -> 100 -> 50 (tanh) -> 1 (softplus), over the event rows of
+// TimingPredictorConfig::batch_size (8) synthetic threads (answers then
+// survival samples, about 96 rows), with fixed dL/dμ per row.
+struct NetStepFixture {
+  ml::Mlp net{34,
+              {{100, ml::Activation::Tanh},
+               {50, ml::Activation::Tanh},
+               {1, ml::Activation::Softplus}},
+              23};
+  ml::Matrix rows;
+  ml::Matrix grad_output;
+
+  static NetStepFixture& instance() {
+    static NetStepFixture fixture;
+    return fixture;
+  }
+
+  std::vector<double> per_sample_grads() {
+    ml::Mlp::Tape tape;
+    net.zero_grad();
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      net.forward(rows.row(r), tape);
+      net.backward(tape, grad_output.row(r));
+    }
+    return {net.grads().begin(), net.grads().end()};
+  }
+
+  std::vector<double> batched_grads(ml::Mlp::BatchTape& tape) {
+    net.zero_grad();
+    net.forward_batch(rows, tape);
+    net.backward_batch(tape, grad_output.view());
+    return {net.grads().begin(), net.grads().end()};
+  }
+
+ private:
+  NetStepFixture() {
+    const auto threads = synthetic_timing_threads(8, 34);
+    std::vector<const std::vector<double>*> features;
+    for (const auto& thread : threads) {
+      for (const auto& answer : thread.answers) features.push_back(&answer.features);
+      for (const auto& sample : thread.survival) features.push_back(&sample.features);
+    }
+    rows.resize(features.size(), 34);
+    grad_output.resize(features.size(), 1);
+    util::Rng rng(103);
+    for (std::size_t r = 0; r < features.size(); ++r) {
+      std::copy(features[r]->begin(), features[r]->end(), rows.row(r).begin());
+      grad_output(r, 0) = rng.normal(0.0, 0.1);
+    }
+  }
+};
+
+void BM_TimingNetStepPerSample(benchmark::State& state) {
+  auto& fixture = NetStepFixture::instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.per_sample_grads());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fixture.rows.rows()));
+  state.counters["rows"] = static_cast<double>(fixture.rows.rows());
+}
+BENCHMARK(BM_TimingNetStepPerSample)->Unit(benchmark::kMillisecond);
+
+void BM_TimingNetStepBatched(benchmark::State& state) {
+  auto& fixture = NetStepFixture::instance();
+  ml::Mlp::BatchTape tape;
+  if (fixture.batched_grads(tape) != fixture.per_sample_grads()) {
+    state.SkipWithError("batched gradients differ from the per-sample ones");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.batched_grads(tape));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fixture.rows.rows()));
+  state.counters["rows"] = static_cast<double>(fixture.rows.rows());
+}
+BENCHMARK(BM_TimingNetStepBatched)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

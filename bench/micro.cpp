@@ -216,19 +216,6 @@ void BM_RoutingGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingGreedy)->Arg(100)->Arg(1000);
 
-void BM_RoutingSimplex(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(29);
-  opt::RoutingProblem problem;
-  for (std::size_t i = 0; i < n; ++i) {
-    problem.weights.push_back(rng.normal());
-    problem.capacities.push_back(rng.uniform(0.1, 1.0));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(opt::solve_routing_simplex(problem));
-  }
-}
-BENCHMARK(BM_RoutingSimplex)->Arg(20)->Arg(60);
 
 }  // namespace
 

@@ -95,12 +95,7 @@ ForecastPipeline::ForecastPipeline(PipelineConfig config)
   const std::size_t fit_threads = config_.fit_threads == 0
                                       ? util::default_thread_count()
                                       : config_.fit_threads;
-  if (fit_threads != 1) {
-    config_.extractor.lda.threads = fit_threads;
-    config_.answer.logistic.threads = fit_threads;
-    config_.vote.threads = fit_threads;
-    config_.timing.threads = fit_threads;
-  }
+  if (fit_threads != 1) config_.extractor.lda.threads = fit_threads;
 }
 
 void ForecastPipeline::fit(const forum::Dataset& dataset,
@@ -110,9 +105,9 @@ void ForecastPipeline::fit(const forum::Dataset& dataset,
   fit_span.arg("history_questions",
                static_cast<double>(history_questions.size()));
   dataset_ = &dataset;
-  // Per-stage wall-clock histograms: the fit-threads knob speeds stages up
-  // very unevenly (timing dominates), so per-stage timings are what the
-  // bench regressions and any perf triage actually need.
+  // Per-stage wall-clock histograms: stage costs are very uneven (timing
+  // dominates), so per-stage timings are what the bench regressions and any
+  // perf triage actually need.
   util::Timer stage_timer;
   {
     FORUMCAST_SPAN("pipeline.extractor_build");

@@ -35,15 +35,13 @@ struct PipelineConfig {
   /// Negatives sampled per positive for the answer classifier.
   double negatives_per_positive = 1.0;
   std::uint64_t seed = 99;
-  /// Training parallelism, fanned out to every stage: LDA Gibbs shards
-  /// (extractor.lda.threads), answer-classifier gradient accumulation
-  /// (answer.logistic.threads), and the gemm-backed minibatch paths of the
-  /// vote and timing networks (vote.threads / timing.threads). 0 resolves to
-  /// util::default_thread_count(). With 1 (the default) every stage runs the
-  /// serial path and the fit is bit-equal to previous releases; with N > 1
-  /// only the LDA stage changes results (AD-LDA sharding, deterministic for
-  /// a fixed N) — the gradient stages stay bit-equal at any thread count.
-  /// Values other than 1 override the per-stage thread knobs above.
+  /// Training parallelism: the number of AD-LDA Gibbs shards
+  /// (extractor.lda.threads), the only fit stage whose work splits across
+  /// threads and the only one whose bits depend on the count
+  /// (deterministic for a fixed N). 0 resolves to
+  /// util::default_thread_count(); 1 (the default) runs the serial sampler.
+  /// Values other than 1 override extractor.lda.threads. Every other stage
+  /// has one trainer and fits the same model whatever this is set to.
   std::size_t fit_threads = 1;
 };
 

@@ -130,9 +130,7 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
   std::iota(order.begin(), order.end(), std::size_t{0});
   util::Rng rng(config_.seed ^ 0x51adULL);
 
-  ml::Mlp::Tape f_tape, g_tape;
-  const std::size_t batch = std::max<std::size_t>(1, config_.batch_threads);
-  const bool batched = config_.threads > 1;
+  const std::size_t batch = std::max<std::size_t>(1, config_.batch_size);
   ml::Mlp::BatchTape f_btape, g_btape;
   ml::Matrix xbatch, f_gout, g_gout;
   struct RowMeta {
@@ -142,29 +140,6 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
   };
   std::vector<RowMeta> meta;
 
-  // Evaluates μ, ω for a scaled row and accumulates gradients given
-  // dLoss/dμ and dLoss/dω (loss = negative log-likelihood).
-  double rho_grad = 0.0;
-  auto accumulate = [&](const std::vector<double>& x, double dloss_dmu,
-                        double dloss_domega) {
-    // μ = f(x) + floor ⇒ dμ/df_out = 1.
-    f_net_->forward(x, f_tape);
-    f_net_->backward(f_tape, std::vector<double>{dloss_dmu});
-    if (g_net_) {
-      g_net_->forward(x, g_tape);
-      g_net_->backward(g_tape, std::vector<double>{dloss_domega});
-    } else if (config_.train_constant_omega) {
-      rho_grad += dloss_domega * ml::sigmoid(omega_rho_);
-    }
-  };
-  auto mu_of = [&](const std::vector<double>& x) {
-    return f_net_->forward(x)[0] + kMuFloor;
-  };
-  auto omega_of = [&](const std::vector<double>& x) {
-    if (g_net_) return g_net_->forward(x)[0] + kOmegaFloor;
-    return ml::softplus(omega_rho_) + kOmegaFloor;
-  };
-
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     FORUMCAST_SPAN("timing.epoch");
     double epoch_nll = 0.0;
@@ -173,87 +148,68 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
       const std::size_t end = std::min(order.size(), start + batch);
       f_net_->zero_grad();
       if (g_net_) g_net_->zero_grad();
-      rho_grad = 0.0;
+      double rho_grad = 0.0;
       const double inv = 1.0 / static_cast<double>(end - start);
 
-      if (!batched) {
-        for (std::size_t k = start; k < end; ++k) {
-          const ScaledThread& thread = scaled[order[k]];
-          // Answer events: loss −= log μ − ω·delay.
-          for (const auto& [x, delay] : thread.answers) {
-            const double mu = mu_of(x);
-            epoch_nll -= std::log(mu) - omega_of(x) * delay;
-            accumulate(x, -inv / mu, inv * delay);
-          }
-          // Survival terms: loss += w · μ · A(ω), A = (1 − e^{−ωΔ})/ω.
-          for (const auto& [x, weight] : thread.survival) {
-            const double mu = mu_of(x);
-            const double omega = omega_of(x);
-            const double a = survival_integral(omega, thread.delta);
-            const double da = survival_integral_domega(omega, thread.delta);
-            epoch_nll += weight * mu * a;
-            accumulate(x, inv * weight * a, inv * weight * mu * da);
-          }
-        }
-      } else {
-        // Flatten the minibatch's event rows (answers then survival per
-        // thread, threads in shuffle order — the serial visit order) and run
-        // each net once over the whole block instead of twice per row. The
-        // nll/ρ folds below walk the same row order and backward_batch
-        // accumulates its contraction in row order, so every fitted
-        // parameter matches the serial loop bit for bit.
-        meta.clear();
-        std::size_t nrows = 0;
-        for (std::size_t k = start; k < end; ++k) {
-          const ScaledThread& thread = scaled[order[k]];
-          nrows += thread.answers.size() + thread.survival.size();
-        }
-        xbatch.resize(nrows, dim);
-        std::size_t b = 0;
-        for (std::size_t k = start; k < end; ++k) {
-          const ScaledThread& thread = scaled[order[k]];
-          for (const auto& [x, delay] : thread.answers) {
-            std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
-            meta.push_back({delay, thread.delta, true});
-          }
-          for (const auto& [x, weight] : thread.survival) {
-            std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
-            meta.push_back({weight, thread.delta, false});
-          }
-        }
-        const ml::Tensor<const double> f_out =
-            f_net_->forward_batch(xbatch, f_btape);
-        ml::Tensor<const double> g_out;
-        if (g_net_) g_out = g_net_->forward_batch(xbatch, g_btape);
-        f_gout.resize(nrows, 1);
-        if (g_net_) g_gout.resize(nrows, 1);
-        const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
-        for (std::size_t r = 0; r < nrows; ++r) {
-          const double mu = f_out(r, 0) + kMuFloor;
-          const double omega =
-              g_net_ ? g_out(r, 0) + kOmegaFloor : constant_omega;
-          double dloss_dmu = 0.0, dloss_domega = 0.0;
-          if (meta[r].answer) {
-            epoch_nll -= std::log(mu) - omega * meta[r].value;
-            dloss_dmu = -inv / mu;
-            dloss_domega = inv * meta[r].value;
-          } else {
-            const double a = survival_integral(omega, meta[r].delta);
-            const double da = survival_integral_domega(omega, meta[r].delta);
-            epoch_nll += meta[r].value * mu * a;
-            dloss_dmu = inv * meta[r].value * a;
-            dloss_domega = inv * meta[r].value * mu * da;
-          }
-          f_gout(r, 0) = dloss_dmu;
-          if (g_net_) {
-            g_gout(r, 0) = dloss_domega;
-          } else if (config_.train_constant_omega) {
-            rho_grad += dloss_domega * ml::sigmoid(omega_rho_);
-          }
-        }
-        f_net_->backward_batch(f_btape, f_gout.view());
-        if (g_net_) g_net_->backward_batch(g_btape, g_gout.view());
+      // Flatten the minibatch's event rows (answers then survival per
+      // thread, threads in shuffle order) and run each net once over the
+      // whole block. The nll/ρ folds below walk the same row order and
+      // backward_batch accumulates its contraction in row order, so every
+      // fitted parameter equals per-sample backprop bit for bit.
+      meta.clear();
+      std::size_t nrows = 0;
+      for (std::size_t k = start; k < end; ++k) {
+        const ScaledThread& thread = scaled[order[k]];
+        nrows += thread.answers.size() + thread.survival.size();
       }
+      xbatch.resize(nrows, dim);
+      std::size_t b = 0;
+      for (std::size_t k = start; k < end; ++k) {
+        const ScaledThread& thread = scaled[order[k]];
+        for (const auto& [x, delay] : thread.answers) {
+          std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
+          meta.push_back({delay, thread.delta, true});
+        }
+        for (const auto& [x, weight] : thread.survival) {
+          std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
+          meta.push_back({weight, thread.delta, false});
+        }
+      }
+      const ml::Tensor<const double> f_out =
+          f_net_->forward_batch(xbatch, f_btape);
+      ml::Tensor<const double> g_out;
+      if (g_net_) g_out = g_net_->forward_batch(xbatch, g_btape);
+      f_gout.resize(nrows, 1);
+      if (g_net_) g_gout.resize(nrows, 1);
+      const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
+      for (std::size_t r = 0; r < nrows; ++r) {
+        // μ = f(x) + floor ⇒ dμ/df_out = 1 (likewise ω and g).
+        const double mu = f_out(r, 0) + kMuFloor;
+        const double omega =
+            g_net_ ? g_out(r, 0) + kOmegaFloor : constant_omega;
+        double dloss_dmu = 0.0, dloss_domega = 0.0;
+        if (meta[r].answer) {
+          // Answer events: loss −= log μ − ω·delay.
+          epoch_nll -= std::log(mu) - omega * meta[r].value;
+          dloss_dmu = -inv / mu;
+          dloss_domega = inv * meta[r].value;
+        } else {
+          // Survival terms: loss += w · μ · A(ω), A = (1 − e^{−ωΔ})/ω.
+          const double a = survival_integral(omega, meta[r].delta);
+          const double da = survival_integral_domega(omega, meta[r].delta);
+          epoch_nll += meta[r].value * mu * a;
+          dloss_dmu = inv * meta[r].value * a;
+          dloss_domega = inv * meta[r].value * mu * da;
+        }
+        f_gout(r, 0) = dloss_dmu;
+        if (g_net_) {
+          g_gout(r, 0) = dloss_domega;
+        } else if (config_.train_constant_omega) {
+          rho_grad += dloss_domega * ml::sigmoid(omega_rho_);
+        }
+      }
+      f_net_->backward_batch(f_btape, f_gout.view());
+      if (g_net_) g_net_->backward_batch(g_btape, g_gout.view());
       f_adam.step(f_net_->params(), f_net_->grads());
       if (g_net_) {
         g_adam->step(g_net_->params(), g_net_->grads());
@@ -449,7 +405,13 @@ TimingPredictor TimingPredictor::decode(artifact::Decoder& dec) {
           : TimingPredictorConfig::Expectation::ConditionalFirstEvent;
   predictor.calibration_offset_ = dec.f64("timing calibration offset");
   predictor.calibration_slope_ = dec.f64("timing calibration slope");
+  // fit() only produces a positive slope (a negative one would invert the
+  // learned ordering) and a positive mean open duration (the fallback Δ).
+  FORUMCAST_CHECK_MSG(predictor.calibration_slope_ > 0.0,
+                      "timing calibration slope must be positive");
   predictor.mean_open_duration_ = dec.f64("timing mean open duration");
+  FORUMCAST_CHECK_MSG(predictor.mean_open_duration_ > 0.0,
+                      "timing mean open duration must be positive");
   predictor.config_.learn_omega = dec.boolean("timing omega kind");
   predictor.omega_rho_ = dec.f64("timing omega rho");
   predictor.scaler_ = ml::decode_scaler(dec);

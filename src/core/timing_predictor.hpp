@@ -41,15 +41,11 @@ struct TimingPredictorConfig {
   bool train_constant_omega = true;
   double learning_rate = 1e-3;
   std::size_t epochs = 60;
-  std::size_t batch_threads = 8;
+  /// Minibatch size in threads (questions). Each minibatch's event rows are
+  /// flattened into one matrix and both rate networks run as blocked-GEMM
+  /// batch forwards and backwards.
+  std::size_t batch_size = 8;
   std::uint64_t seed = 23;
-  /// Training threads: >1 flattens each minibatch's event rows into one
-  /// matrix and runs both rate networks as blocked-GEMM batch forwards and
-  /// backwards (one forward per net per row instead of the serial loop's
-  /// two), 1 = the per-sample serial loop. The gemm path visits rows in the
-  /// serial order under the pinned fmadd contraction, so the fitted model is
-  /// bit-equal either way — the knob only changes execution layout.
-  std::size_t threads = 1;
 
   enum class Expectation { PaperUnnormalized, ConditionalFirstEvent };
   Expectation expectation = Expectation::ConditionalFirstEvent;

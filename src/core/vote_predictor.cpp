@@ -55,9 +55,7 @@ void VotePredictor::fit(std::span<const std::vector<double>> rows,
   std::iota(order.begin(), order.end(), std::size_t{0});
   util::Rng rng(config_.seed ^ 0xabcdefULL);
 
-  ml::Mlp::Tape tape;
   ml::Matrix xbatch;
-  const bool batched = config_.threads > 1;
   const std::size_t batch = std::max<std::size_t>(1, config_.batch_size);
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     FORUMCAST_SPAN("vote.epoch");
@@ -66,40 +64,25 @@ void VotePredictor::fit(std::span<const std::vector<double>> rows,
     for (std::size_t start = 0; start < order.size(); start += batch) {
       const std::size_t end = std::min(order.size(), start + batch);
       network_->zero_grad();
-      if (!batched) {
-        for (std::size_t k = start; k < end; ++k) {
-          const std::size_t idx = order[k];
-          const auto output = network_->forward(scaled[idx], tape);
-          const double standardized_target =
-              (targets[idx] - target_mean_) / target_scale_;
-          const double residual = output[0] - standardized_target;
-          epoch_loss += 0.5 * residual * residual;
-          // d/dŷ of ½(ŷ − y)², averaged over the batch.
-          const double grad = residual / static_cast<double>(end - start);
-          network_->backward(tape, std::vector<double>{grad});
-        }
-      } else {
-        // Same samples, same order, one gemm-backed step for the whole
-        // minibatch; gradients and loss match the serial loop bit for bit.
-        xbatch.resize(end - start, dim);
-        for (std::size_t k = start; k < end; ++k) {
-          const auto& src = scaled[order[k]];
-          std::copy(src.begin(), src.end(), xbatch.row(k - start).begin());
-        }
-        network_->train_batch(
-            xbatch, [&](ml::Tensor<const double> outputs,
-                        ml::Tensor<double> grad_output) {
-              for (std::size_t b = 0; b < outputs.rows(); ++b) {
-                const std::size_t idx = order[start + b];
-                const double standardized_target =
-                    (targets[idx] - target_mean_) / target_scale_;
-                const double residual = outputs(b, 0) - standardized_target;
-                epoch_loss += 0.5 * residual * residual;
-                grad_output(b, 0) =
-                    residual / static_cast<double>(end - start);
-              }
-            });
+      // One gemm-backed step per minibatch, samples in shuffle order.
+      xbatch.resize(end - start, dim);
+      for (std::size_t k = start; k < end; ++k) {
+        const auto& src = scaled[order[k]];
+        std::copy(src.begin(), src.end(), xbatch.row(k - start).begin());
       }
+      network_->train_batch(
+          xbatch, [&](ml::Tensor<const double> outputs,
+                      ml::Tensor<double> grad_output) {
+            for (std::size_t b = 0; b < outputs.rows(); ++b) {
+              const std::size_t idx = order[start + b];
+              const double standardized_target =
+                  (targets[idx] - target_mean_) / target_scale_;
+              const double residual = outputs(b, 0) - standardized_target;
+              epoch_loss += 0.5 * residual * residual;
+              // d/dŷ of ½(ŷ − y)², averaged over the batch.
+              grad_output(b, 0) = residual / static_cast<double>(end - start);
+            }
+          });
       adam.step(network_->params(), network_->grads());
     }
     FORUMCAST_GAUGE_SET("vote.train_loss",

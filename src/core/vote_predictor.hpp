@@ -28,12 +28,6 @@ struct VotePredictorConfig {
   std::uint64_t seed = 17;
   /// Targets are standardized internally; predictions are de-standardized.
   bool standardize_targets = true;
-  /// Training threads: >1 routes every minibatch through Mlp::train_batch
-  /// (blocked-GEMM forward and backward), 1 = the per-sample serial loop.
-  /// The gemm path accumulates gradients in sample order under the pinned
-  /// fmadd contraction, so the fitted model is bit-equal either way — the
-  /// knob only changes execution layout.
-  std::size_t threads = 1;
   /// Opt-in int8 inference: after fit, derive an int8 network calibrated on
   /// the scaled training rows and route predict()/predict_batch() through
   /// it. The fp64 master weights stay canonical and are what persistence
@@ -45,7 +39,9 @@ class VotePredictor {
  public:
   explicit VotePredictor(VotePredictorConfig config = {});
 
-  /// Trains with minibatch Adam on mean squared error.
+  /// Trains with minibatch Adam on mean squared error. Each minibatch is one
+  /// Mlp::train_batch step (blocked-GEMM forward and backward); gradients
+  /// accumulate in sample order, bit-equal to per-sample backprop.
   void fit(std::span<const std::vector<double>> rows,
            std::span<const double> targets);
 

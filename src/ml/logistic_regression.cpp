@@ -47,7 +47,6 @@ void LogisticRegression::fit(std::span<const std::vector<double>> rows,
   util::Rng rng(config_.seed);
 
   const std::size_t batch = std::max<std::size_t>(1, config_.batch_size);
-  const std::size_t threads = config_.threads;
   // Per-batch residuals and row pointers live in the workspace arena for the
   // whole fit; `filled` tracks how much of the capacity a batch used.
   Workspace::Frame frame;
@@ -60,10 +59,8 @@ void LogisticRegression::fit(std::span<const std::vector<double>> rows,
     for (std::size_t start = 0; start < order.size(); start += batch) {
       const std::size_t end = std::min(order.size(), start + batch);
       std::fill(grads.begin(), grads.end(), 0.0);
-      // Margins and residuals depend only on the batch-start parameters, so
-      // compute them serially in sample order, then shard the gradient
-      // columns. Each column still sums in sample order, so the result is
-      // bit-equal at every thread count.
+      // Margins and residuals depend only on the batch-start parameters:
+      // compute them in sample order, then fold them into the gradient.
       std::size_t filled = 0;
       for (std::size_t k = start; k < end; ++k) {
         const auto idx = order[k];
@@ -81,7 +78,7 @@ void LogisticRegression::fit(std::span<const std::vector<double>> rows,
       }
       accumulate_weighted_rows(std::span<const double* const>(xrows, filled),
                                std::span<const double>(errs, filled),
-                               std::span<double>(grads).first(dim), threads);
+                               std::span<double>(grads).first(dim));
       for (std::size_t i = 0; i < filled; ++i) grads[dim] += errs[i];
       const double inv = 1.0 / static_cast<double>(end - start);
       for (std::size_t c = 0; c < dim; ++c) {

@@ -18,11 +18,6 @@ struct LogisticRegressionConfig {
   std::size_t epochs = 200;
   std::size_t batch_size = 64;
   std::uint64_t seed = 1;
-  /// Gradient-accumulation threads (0 = util::default_thread_count()). The
-  /// gradient shards columns with per-column chains in sample order
-  /// (ml::accumulate_weighted_rows), so the fit is bit-equal at every thread
-  /// count; narrow models run inline whatever the count.
-  std::size_t threads = 1;
 };
 
 class LogisticRegression {

@@ -7,7 +7,6 @@
 #endif
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace forumcast::ml {
 
@@ -324,22 +323,13 @@ double Matrix::frobenius_norm() const {
 
 void accumulate_weighted_rows(std::span<const double* const> rows,
                               std::span<const double> errs,
-                              std::span<double> grads, std::size_t threads) {
+                              std::span<double> grads) {
   FORUMCAST_CHECK(rows.size() == errs.size());
-  const std::size_t count = rows.size();
-  // Grain of 64 columns: below that a chunk is a few thousand flops, far
-  // cheaper than a thread spawn, so feature-vector-sized models (a few tens
-  // of columns) always run inline regardless of the requested thread count.
-  util::parallel_for_chunks(
-      grads.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = 0; k < count; ++k) {
-          const double e = errs[k];
-          const double* x = rows[k];
-          for (std::size_t c = begin; c < end; ++c) grads[c] += e * x[c];
-        }
-      },
-      threads, /*grain=*/64);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const double e = errs[k];
+    const double* x = rows[k];
+    for (std::size_t c = 0; c < grads.size(); ++c) grads[c] += e * x[c];
+  }
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {

@@ -121,12 +121,12 @@ void gemm_nn(std::size_t n, std::size_t m, std::size_t k, const double* a,
 /// Accumulating transposed GEMM: C(n×m) += A(k×n)^T · B(k×m), i.e.
 /// C[u][j] += Σ_r A[r][u]·B[r][j] with r ascending. This is the minibatch
 /// weight-gradient product (WG += dL/dpre^T · activations): the k dimension
-/// is the batch, and the serial trainer accumulates exactly these rank-1
-/// updates one sample at a time, so running the r-loop outermost — streaming
-/// both operands row-major, no transposes or scratch — reproduces the serial
-/// per-element fmadd chains bit-for-bit even when C starts nonzero
-/// (gradients accumulate across minibatches). Rows of A whose element is
-/// zero skip their update, mirroring the serial loop's `g == 0` skip
+/// is the batch, and per-sample backprop (Mlp::backward) accumulates exactly
+/// these rank-1 updates one sample at a time, so running the r-loop
+/// outermost — streaming both operands row-major, no transposes or scratch —
+/// reproduces its per-element fmadd chains bit-for-bit even when C starts
+/// nonzero (gradients accumulate across minibatches). Rows of A whose element
+/// is zero skip their update, mirroring Mlp::backward's `g == 0` skip
 /// (bit-neutral: adding a ±0.0 product to a chain rooted at +0.0 or any
 /// accumulated value is an identity for these inputs).
 void gemm_tn_accumulate(std::size_t k, std::size_t n, std::size_t m,
@@ -143,20 +143,12 @@ void gemm_nt(Tensor<const double> a, Tensor<const double> b,
 void gemm_tn_accumulate(Tensor<const double> a, Tensor<const double> b,
                         Tensor<double> c);
 
-/// Deterministic parallel gradient accumulation for the linear models:
-/// grads[c] += Σ_k errs[k] · rows[k][c] for every column c. Each column's
-/// chain accumulates in sample order (k ascending) with exactly the
-/// per-element operations of the sample-major serial loop
-/// `for k: for c: grads[c] += errs[k]·rows[k][c]` — the chains are
-/// independent per column, so sharding columns across threads cannot reorder
-/// any of them and the result is bit-equal to the serial loop at EVERY
-/// thread count (a stronger guarantee than the per-thread-partials shape,
-/// which is only deterministic for a fixed count). Columns shard through
-/// util::parallel_for_chunks with a grain that keeps feature-vector-sized
-/// models inline on the calling thread.
+/// Gradient accumulation for the linear models: grads[c] +=
+/// Σ_k errs[k] · rows[k][c] for every column c, samples in order (k
+/// ascending), each row holding at least grads.size() columns.
 void accumulate_weighted_rows(std::span<const double* const> rows,
                               std::span<const double> errs,
-                              std::span<double> grads, std::size_t threads);
+                              std::span<double> grads);
 
 /// Dot product; sizes must match.
 double dot(std::span<const double> a, std::span<const double> b);

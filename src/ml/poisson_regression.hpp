@@ -20,11 +20,6 @@ struct PoissonRegressionConfig {
   /// effective ceiling to log(2·max target) so a diverging iterate cannot
   /// produce astronomically large rate predictions.
   double max_linear_predictor = 20.0;
-  /// Gradient-accumulation threads (0 = util::default_thread_count()). The
-  /// gradient shards columns with per-column chains in sample order
-  /// (ml::accumulate_weighted_rows), so the fit is bit-equal at every thread
-  /// count; narrow models run inline whatever the count.
-  std::size_t threads = 1;
 };
 
 class PoissonRegression {

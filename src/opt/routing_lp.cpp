@@ -3,21 +3,14 @@
 #include <algorithm>
 #include <numeric>
 
-#include "opt/lp.hpp"
 #include "util/check.hpp"
 
 namespace forumcast::opt {
 
-namespace {
-void validate(const RoutingProblem& problem) {
+RoutingSolution solve_routing(const RoutingProblem& problem) {
   FORUMCAST_CHECK(!problem.weights.empty());
   FORUMCAST_CHECK(problem.weights.size() == problem.capacities.size());
   for (double cap : problem.capacities) FORUMCAST_CHECK(cap >= 0.0);
-}
-}  // namespace
-
-RoutingSolution solve_routing(const RoutingProblem& problem) {
-  validate(problem);
   RoutingSolution solution;
   solution.probabilities.assign(problem.weights.size(), 0.0);
 
@@ -43,37 +36,6 @@ RoutingSolution solve_routing(const RoutingProblem& problem) {
     if (remaining <= 1e-15) break;
   }
   solution.feasible = true;
-  return solution;
-}
-
-RoutingSolution solve_routing_simplex(const RoutingProblem& problem) {
-  validate(problem);
-  const std::size_t n = problem.weights.size();
-
-  LpProblem lp;
-  lp.num_variables = n;
-  lp.objective = problem.weights;
-  for (std::size_t u = 0; u < n; ++u) {
-    Constraint upper;
-    upper.coefficients.assign(n, 0.0);
-    upper.coefficients[u] = 1.0;
-    upper.type = ConstraintType::LessEqual;
-    upper.rhs = problem.capacities[u];
-    lp.constraints.push_back(std::move(upper));
-  }
-  Constraint mass;
-  mass.coefficients.assign(n, 1.0);
-  mass.type = ConstraintType::Equal;
-  mass.rhs = 1.0;
-  lp.constraints.push_back(std::move(mass));
-
-  const LpSolution lp_solution = solve(lp);
-  RoutingSolution solution;
-  solution.probabilities.assign(n, 0.0);
-  if (lp_solution.status != LpStatus::Optimal) return solution;
-  solution.feasible = true;
-  solution.probabilities = lp_solution.x;
-  solution.objective_value = lp_solution.objective_value;
   return solution;
 }
 

@@ -5,8 +5,9 @@
 //
 // `cap_u` is the user's remaining answering budget c_u minus answers given in
 // the recent window. The box-plus-simplex structure has a closed-form greedy
-// optimum (fill the highest-weight users first); `solve_routing` uses it and
-// the general simplex solver is kept as an independent cross-check.
+// optimum (fill the highest-weight users first), which `solve_routing`
+// computes; no general LP solver is needed. The tests cross-check it against
+// a general simplex solver of their own.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +28,5 @@ struct RoutingSolution {
 
 /// Closed-form greedy optimum (O(n log n)). Infeasible iff Σ cap < 1.
 RoutingSolution solve_routing(const RoutingProblem& problem);
-
-/// The same problem through the general simplex solver (for verification).
-RoutingSolution solve_routing_simplex(const RoutingProblem& problem);
 
 }  // namespace forumcast::opt

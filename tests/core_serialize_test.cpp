@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "artifact/artifact.hpp"
@@ -142,6 +143,55 @@ TEST(CoreSerialize, TimingPredictorRoundTripConstantOmega) {
     TimingPredictor original(config);
     original.fit(tiny_timing_threads());
     expect_timing_bit_identical(original, round_trip(original));
+  }
+}
+
+/// The timing payload with one leading f64 field replaced. Layout: the
+/// expectation-kind byte, then calibration offset, calibration slope and
+/// mean open duration (8 bytes each).
+std::string patched_timing_payload(std::size_t field, double value) {
+  TimingPredictorConfig config;
+  config.epochs = 2;
+  config.f_hidden = {4};
+  config.learn_omega = false;
+  TimingPredictor original(config);
+  original.fit(tiny_timing_threads());
+  artifact::Encoder enc;
+  original.encode(enc);
+  artifact::Encoder patch;
+  patch.f64(value, "patched field");
+  std::string payload = enc.bytes();
+  payload.replace(1 + 8 * field, 8, patch.bytes());
+  return payload;
+}
+
+void expect_timing_decode_rejects(std::size_t field, double value,
+                                  const std::string& message) {
+  artifact::Decoder dec(patched_timing_payload(field, value), "hostile timing");
+  try {
+    TimingPredictor::decode(dec);
+    FAIL() << "decoded a timing payload with field " << field << " = "
+           << value;
+  } catch (const util::CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CoreSerialize, TimingDecodeRejectsNonPositiveCalibrationSlope) {
+  // A slope ≤ 0 would invert the ordering the likelihood learned.
+  for (double slope : {0.0, -0.0, -1.5}) {
+    expect_timing_decode_rejects(1, slope,
+                                 "timing calibration slope must be positive");
+  }
+}
+
+TEST(CoreSerialize, TimingDecodeRejectsNonPositiveMeanOpenDuration) {
+  // The mean open duration is the fallback Δ; ≤ 0 would feed the delay
+  // estimator a non-positive horizon.
+  for (double duration : {0.0, -24.0}) {
+    expect_timing_decode_rejects(
+        2, duration, "timing mean open duration must be positive");
   }
 }
 

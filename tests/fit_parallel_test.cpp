@@ -1,24 +1,15 @@
-// Determinism contracts of the parallel training paths (PR 4).
-//
-// Three tiers of guarantee, from strongest to weakest:
-//  * gradient accumulation (logistic, Poisson, the gemm-backed MLP paths in
-//    the vote and timing predictors): bit-equal to the serial loop at EVERY
-//    thread count — parallelism never changes a fitted parameter;
-//  * sharded Gibbs LDA: deterministic for a FIXED thread count, with
-//    threads=1 bit-equal to the serial sampler; different thread counts give
-//    different (AD-LDA) chains that must agree statistically;
-//  * all of the above reproduce exactly across repeated runs.
+// Determinism contracts of sharded Gibbs LDA, the one fit stage whose work
+// splits across threads (PipelineConfig::fit_threads): deterministic for a
+// FIXED thread count, with threads=1 bit-equal to the serial sampler;
+// different thread counts give different (AD-LDA) chains that must agree
+// statistically. The network trainers have one layout each and are checked
+// against per-sample references in fit_reference_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "core/timing_predictor.hpp"
-#include "core/vote_predictor.hpp"
-#include "ml/logistic_regression.hpp"
-#include "ml/matrix.hpp"
-#include "ml/poisson_regression.hpp"
 #include "topics/lda.hpp"
 #include "util/rng.hpp"
 
@@ -114,152 +105,6 @@ TEST(FitParallelLda, ThreadsZeroResolvesToDefaultAndFits) {
     EXPECT_NEAR(sum, 1.0, 1e-9);
   }
 }
-
-// ---------- linear-model gradient accumulation ----------
-
-struct LinearData {
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;      // logistic
-  std::vector<double> counts;   // poisson
-};
-
-LinearData make_linear_data(std::size_t n, std::size_t dim, std::uint64_t seed) {
-  LinearData data;
-  util::Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> row(dim);
-    double score = 0.0;
-    for (std::size_t c = 0; c < dim; ++c) {
-      row[c] = rng.normal(0.0, 1.0);
-      score += (c % 2 == 0 ? 1.0 : -0.5) * row[c];
-    }
-    data.labels.push_back(score > 0.0 ? 1 : 0);
-    data.counts.push_back(std::floor(std::exp(0.3 * score)));
-    data.rows.push_back(std::move(row));
-  }
-  return data;
-}
-
-TEST(FitParallelGradients, LogisticBitEqualAtEveryThreadCount) {
-  const auto data = make_linear_data(300, 13, 61);
-  ml::LogisticRegression serial({.epochs = 15, .seed = 3, .threads = 1});
-  serial.fit(data.rows, data.labels);
-  for (std::size_t threads : {0u, 2u, 3u, 8u}) {
-    ml::LogisticRegression parallel(
-        {.epochs = 15, .seed = 3, .threads = threads});
-    parallel.fit(data.rows, data.labels);
-    ASSERT_EQ(parallel.weights().size(), serial.weights().size());
-    for (std::size_t c = 0; c < serial.weights().size(); ++c) {
-      EXPECT_EQ(parallel.weights()[c], serial.weights()[c])
-          << "threads " << threads << " weight " << c;
-    }
-    EXPECT_EQ(parallel.bias(), serial.bias()) << "threads " << threads;
-  }
-}
-
-TEST(FitParallelGradients, PoissonBitEqualAtEveryThreadCount) {
-  const auto data = make_linear_data(300, 13, 67);
-  ml::PoissonRegression serial({.epochs = 15, .seed = 5, .threads = 1});
-  serial.fit(data.rows, data.counts);
-  for (std::size_t threads : {0u, 2u, 3u, 8u}) {
-    ml::PoissonRegression parallel(
-        {.epochs = 15, .seed = 5, .threads = threads});
-    parallel.fit(data.rows, data.counts);
-    ASSERT_EQ(parallel.weights().size(), serial.weights().size());
-    for (std::size_t c = 0; c < serial.weights().size(); ++c) {
-      EXPECT_EQ(parallel.weights()[c], serial.weights()[c])
-          << "threads " << threads << " weight " << c;
-    }
-    EXPECT_EQ(parallel.bias(), serial.bias()) << "threads " << threads;
-  }
-}
-
-// ---------- gemm-backed network trainers ----------
-
-TEST(FitParallelVote, BatchedPathBitEqualToSerial) {
-  const auto data = make_linear_data(120, 7, 71);
-  std::vector<double> targets(data.counts.begin(), data.counts.end());
-
-  core::VotePredictorConfig config;
-  config.hidden_units = {10, 6};
-  config.epochs = 8;
-  config.seed = 21;
-
-  core::VotePredictor serial(config);
-  serial.fit(data.rows, targets);
-  config.threads = 4;
-  core::VotePredictor batched(config);
-  batched.fit(data.rows, targets);
-
-  for (std::size_t i = 0; i < data.rows.size(); i += 11) {
-    EXPECT_EQ(batched.predict(data.rows[i]), serial.predict(data.rows[i]))
-        << "row " << i;
-  }
-}
-
-std::vector<core::TimingThread> make_timing_threads(std::size_t n,
-                                                    std::size_t dim,
-                                                    std::uint64_t seed) {
-  std::vector<core::TimingThread> threads;
-  util::Rng rng(seed);
-  for (std::size_t t = 0; t < n; ++t) {
-    core::TimingThread thread;
-    thread.open_duration = 24.0 + rng.uniform(0.0, 48.0);
-    const std::size_t answers = 1 + rng.uniform_index(3);
-    for (std::size_t a = 0; a < answers; ++a) {
-      core::TimingThread::Answer answer;
-      for (std::size_t c = 0; c < dim; ++c) {
-        answer.features.push_back(rng.normal(0.0, 1.0));
-      }
-      answer.delay = rng.uniform(0.1, thread.open_duration);
-      thread.answers.push_back(std::move(answer));
-    }
-    for (std::size_t s = 0; s < 3; ++s) {
-      core::TimingThread::SurvivalSample sample;
-      for (std::size_t c = 0; c < dim; ++c) {
-        sample.features.push_back(rng.normal(0.0, 1.0));
-      }
-      sample.weight = 1.0 + rng.uniform(0.0, 5.0);
-      thread.survival.push_back(std::move(sample));
-    }
-    threads.push_back(std::move(thread));
-  }
-  return threads;
-}
-
-class FitParallelTiming : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FitParallelTiming, BatchedPathBitEqualToSerial) {
-  const bool learn_omega = GetParam();
-  const auto data = make_timing_threads(14, 5, 83);
-
-  core::TimingPredictorConfig config;
-  config.f_hidden = {12, 6};
-  config.g_hidden = {10, 5};
-  config.learn_omega = learn_omega;
-  config.epochs = 6;
-  config.batch_threads = 4;
-  config.seed = 29;
-
-  core::TimingPredictor serial(config);
-  serial.fit(data);
-  config.threads = 4;
-  core::TimingPredictor batched(config);
-  batched.fit(data);
-
-  for (const auto& thread : data) {
-    for (const auto& answer : thread.answers) {
-      EXPECT_EQ(batched.excitation(answer.features),
-                serial.excitation(answer.features));
-      EXPECT_EQ(batched.decay(answer.features), serial.decay(answer.features));
-      EXPECT_EQ(batched.predict_delay(answer.features, thread.open_duration),
-                serial.predict_delay(answer.features, thread.open_duration));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(LearnedAndConstantOmega, FitParallelTiming,
-                         ::testing::Bool());
 
 }  // namespace
 }  // namespace forumcast

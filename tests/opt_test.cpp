@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "opt/lp.hpp"
 #include "opt/routing_lp.hpp"
+#include "opt_lp.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 

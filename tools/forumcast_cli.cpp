@@ -1214,10 +1214,10 @@ void usage() {
                "                       without that section it is regenerated from\n"
                "                       the fp64 master weights at load\n"
                "training (fit, predict, route, ingest):\n"
-               "  --fit-threads N      training parallelism for every fit stage\n"
-               "                       (0 = all cores). 1 (default) is bit-equal\n"
-               "                       to previous releases; N>1 only changes the\n"
-               "                       LDA stage (deterministic per thread count)\n"
+               "  --fit-threads N      AD-LDA Gibbs shards (0 = all cores); the\n"
+               "                       only fit stage that splits across threads.\n"
+               "                       1 (default) runs the serial sampler; N>1\n"
+               "                       is deterministic per thread count\n"
                "  --centrality-mode M  'exact' (default; bit-stable full Brandes)\n"
                "                       or 'sampled' (pivot-sampled centralities\n"
                "                       with incremental dirty-region refresh —\n"
