@@ -1,7 +1,6 @@
-// ML substrate benchmarks: the arena-backed fp32 batch forward vs the int8
-// quantized forward on the vote-network topology, plus the workspace bump
-// allocator itself. tools/run_bench.sh writes these as BENCH_ml.json and
-// gates the int8/fp32 batch-score ratio on BENCH_ML_MIN_SPEEDUP.
+// ML substrate benchmarks: the arena-backed fp64 vote-network forward, as a
+// batch and one row at a time, plus the workspace bump allocator itself.
+// tools/run_bench.sh writes these as BENCH_ml.json.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -9,7 +8,6 @@
 
 #include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
-#include "ml/quant.hpp"
 #include "ml/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -63,9 +61,9 @@ void BM_WorkspaceFrameCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkspaceFrameCycle)->Arg(256);
 
-// ---------- fp32 vs int8 batch forward ----------
+// ---------- fp64 vote forward ----------
 
-void BM_VoteForwardFp32(benchmark::State& state) {
+void BM_VoteForwardFp64(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const ml::Mlp net = vote_net();
   const ml::Matrix x = feature_rows(rows);
@@ -79,29 +77,11 @@ void BM_VoteForwardFp32(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows));
 }
-BENCHMARK(BM_VoteForwardFp32)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_VoteForwardInt8(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const ml::Mlp net = vote_net();
-  const ml::QuantizedMlp quantized = ml::QuantizedMlp::from(net);
-  const ml::Matrix x = feature_rows(rows);
-  std::vector<double> out(rows);
-  ml::Tensor<double> out_view(out.data(), rows, 1);
-  for (auto _ : state) {
-    ml::Workspace::Frame frame;
-    quantized.forward_batch_into(x.view(), out_view);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rows));
-  state.SetLabel(ml::gemm_s8_variant());
-}
-BENCHMARK(BM_VoteForwardInt8)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_VoteForwardFp64)->Arg(64)->Arg(256)->Arg(1024);
 
 // One row at a time: the per-pair shape (ForecastPipeline::predict runs the
 // batch forwards as a batch of one).
-void BM_VoteForwardScalarFp32(benchmark::State& state) {
+void BM_VoteForwardScalarFp64(benchmark::State& state) {
   const ml::Mlp net = vote_net();
   const ml::Matrix x = feature_rows(64);
   std::size_t r = 0;
@@ -111,25 +91,7 @@ void BM_VoteForwardScalarFp32(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_VoteForwardScalarFp32);
-
-void BM_VoteForwardScalarInt8(benchmark::State& state) {
-  const ml::Mlp net = vote_net();
-  const ml::QuantizedMlp quantized = ml::QuantizedMlp::from(net);
-  const ml::Matrix x = feature_rows(64);
-  double out = 0.0;
-  std::size_t r = 0;
-  for (auto _ : state) {
-    quantized.forward_batch_into(ml::one_row(x.row(r)),
-                                 ml::Tensor<double>(&out, 1, 1));
-    benchmark::DoNotOptimize(&out);
-    benchmark::ClobberMemory();
-    r = (r + 1) % x.rows();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(ml::gemm_s8_variant());
-}
-BENCHMARK(BM_VoteForwardScalarInt8);
+BENCHMARK(BM_VoteForwardScalarFp64);
 
 }  // namespace
 

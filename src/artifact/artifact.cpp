@@ -104,11 +104,6 @@ void Encoder::counts(std::span<const std::size_t> values) {
   for (std::size_t value : values) u64(static_cast<std::uint64_t>(value));
 }
 
-void Encoder::i8s(std::span<const std::int8_t> values) {
-  u64(values.size());
-  append_raw(buffer_, values.data(), values.size());
-}
-
 Decoder::Decoder(std::string payload, std::string context)
     : payload_(std::move(payload)), context_(std::move(context)) {}
 
@@ -197,14 +192,6 @@ std::vector<std::uint64_t> Decoder::u64s(const char* field) {
   std::vector<std::uint64_t> values;
   values.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) values.push_back(u64(field));
-  return values;
-}
-
-std::vector<std::int8_t> Decoder::i8s(const char* field) {
-  std::uint64_t count = length(1, field);
-  const char* raw = take(static_cast<std::size_t>(count), field);
-  std::vector<std::int8_t> values(static_cast<std::size_t>(count));
-  std::memcpy(values.data(), raw, static_cast<std::size_t>(count));
   return values;
 }
 

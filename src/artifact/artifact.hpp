@@ -52,7 +52,7 @@ enum class SectionKind : std::uint32_t {
   kModel = 6,              ///< a standalone ml:: model blob
   kFeatureBaseline = 7,    ///< features::FeatureBaseline (drift reference)
   kCentralityConfig = 8,   ///< graph::CentralityConfig (exact↔sampled knob)
-  kQuantizedMlp = 9,       ///< ml::QuantizedMlp (int8 vote-MLP inference)
+  kQuantizedMlp = 9,       ///< retired (old int8 vote MLP); never reuse
   kEnd = 0xffffffffu,      ///< end-of-bundle marker (empty body)
 };
 
@@ -75,7 +75,6 @@ class Encoder {
   void str(std::string_view value);
   void f64s(std::span<const double> values, const char* field);
   void u64s(std::span<const std::uint64_t> values);
-  void i8s(std::span<const std::int8_t> values);
   void counts(std::span<const std::size_t> values);
 
   const std::string& bytes() const { return buffer_; }
@@ -104,7 +103,6 @@ class Decoder {
   std::string str(const char* field);
   std::vector<double> f64s(const char* field);
   std::vector<std::uint64_t> u64s(const char* field);
-  std::vector<std::int8_t> i8s(const char* field);
   std::vector<std::size_t> counts(const char* field);
 
   std::size_t remaining() const { return payload_.size() - cursor_; }

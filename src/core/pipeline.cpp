@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "artifact/artifact.hpp"
-#include "ml/serialize.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -268,17 +267,6 @@ void ForecastPipeline::save(std::ostream& out) const {
     writer.section(artifact::SectionKind::kCentralityConfig, centrality);
   }
 
-  // Optional trailer #3: the int8 vote network, present only when the
-  // pipeline was fitted (or asked) to serve quantized. The fp64 weights in
-  // the kVotePredictor section stay canonical; this section preserves the
-  // fit-time calibration (bias correction) that a load-time regeneration
-  // could not recover.
-  if (vote_.quantized()) {
-    artifact::Encoder quantized;
-    ml::encode_quantized_mlp(*vote_.quantized_net(), quantized);
-    writer.section(artifact::SectionKind::kQuantizedMlp, quantized);
-  }
-
   writer.finish();
   FORUMCAST_COUNTER_ADD("pipeline.bundle_saves", 1);
 }
@@ -374,28 +362,17 @@ ForecastPipeline ForecastPipeline::load(std::istream& in,
     graph::CentralityConfig cfg;
     cfg.mode = static_cast<graph::CentralityMode>(mode);
     cfg.num_pivots = centrality->u64("centrality num pivots");
+    FORUMCAST_CHECK_MSG(cfg.num_pivots >= 1,
+                        "model bundle: centrality num pivots must be >= 1");
     cfg.seed = centrality->u64("centrality seed");
     centrality->finish();
     pipeline.extractor_->set_centrality_config(cfg);
     pipeline.config_.extractor.centrality = cfg;
   }
 
-  // Optional trailer #3: int8 vote network. Bundles without it load on the
-  // fp64 path; quantized serving can still be enabled afterwards via
-  // quantize_vote(), which regenerates from the fp64 master weights.
-  if (auto quantized = reader.try_expect(artifact::SectionKind::kQuantizedMlp)) {
-    pipeline.vote_.install_quantized(ml::decode_quantized_mlp(*quantized));
-    quantized->finish();
-  }
-
   reader.finish();
   FORUMCAST_COUNTER_ADD("pipeline.bundle_loads", 1);
   return pipeline;
-}
-
-void ForecastPipeline::quantize_vote() {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot quantize an unfitted ForecastPipeline");
-  if (!vote_.quantized()) vote_.quantize_from_master();
 }
 
 }  // namespace forumcast::core

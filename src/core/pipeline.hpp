@@ -136,13 +136,6 @@ class ForecastPipeline {
   /// one that saved the bundle.
   static ForecastPipeline load(std::istream& in, const forum::Dataset& dataset);
 
-  /// Switches vote-network inference to the int8 path, deriving the
-  /// quantized net from the fp64 master weights if the bundle did not carry
-  /// one. No-op when already quantized. Requires fit() (or load()). Not
-  /// synchronized against concurrent predict() — call it before serving
-  /// starts, the same discipline BatchScorer::swap_model documents.
-  void quantize_vote();
-
  private:
   PipelineConfig config_;
   const forum::Dataset* dataset_ = nullptr;

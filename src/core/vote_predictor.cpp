@@ -93,32 +93,6 @@ void VotePredictor::fit(std::span<const std::vector<double>> rows,
     fit_span.arg("epochs", static_cast<double>(config_.epochs));
   }
   fitted_ = true;
-
-  if (config_.quantize) {
-    // Calibrate bias correction on the scaled training rows — the exact
-    // input distribution inference will see.
-    ml::Matrix calibration(scaled.size(), dim);
-    for (std::size_t r = 0; r < scaled.size(); ++r) {
-      std::copy(scaled[r].begin(), scaled[r].end(),
-                calibration.row(r).begin());
-    }
-    quantized_ = std::make_unique<ml::QuantizedMlp>(
-        ml::QuantizedMlp::from(*network_, calibration));
-  }
-}
-
-void VotePredictor::quantize_from_master() {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot quantize an unfitted VotePredictor");
-  quantized_ = std::make_unique<ml::QuantizedMlp>(
-      ml::QuantizedMlp::from(*network_));
-}
-
-void VotePredictor::install_quantized(ml::QuantizedMlp net) {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot install on an unfitted VotePredictor");
-  FORUMCAST_CHECK_MSG(net.input_dim() == network_->input_dim() &&
-                          net.output_dim() == network_->output_dim(),
-                      "quantized network shape mismatch");
-  quantized_ = std::make_unique<ml::QuantizedMlp>(std::move(net));
 }
 
 double VotePredictor::predict(std::span<const double> features) const {
@@ -139,11 +113,7 @@ void VotePredictor::predict_batch(ml::Tensor<const double> rows,
   ml::Tensor<double> scaled = ws.tensor<double>(rows.rows(), rows.cols());
   scaler_.transform_rows(rows, scaled);
   ml::Tensor<double> output = ws.tensor<double>(rows.rows(), 1);
-  if (quantized_) {
-    quantized_->forward_batch_into(scaled, output);
-  } else {
-    network_->forward_batch_into(scaled, output);
-  }
+  network_->forward_batch_into(scaled, output);
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     out[r] = output(r, 0) * target_scale_ + target_mean_;
   }

@@ -13,7 +13,6 @@
 
 #include "artifact/artifact.hpp"
 #include "ml/mlp.hpp"
-#include "ml/quant.hpp"
 #include "ml/scaler.hpp"
 
 namespace forumcast::core {
@@ -28,11 +27,6 @@ struct VotePredictorConfig {
   std::uint64_t seed = 17;
   /// Targets are standardized internally; predictions are de-standardized.
   bool standardize_targets = true;
-  /// Opt-in int8 inference: after fit, derive an int8 network calibrated on
-  /// the scaled training rows and route predict()/predict_batch() through
-  /// it. The fp64 master weights stay canonical and are what persistence
-  /// saves; the quantized net travels alongside (or is regenerated at load).
-  bool quantize = false;
 };
 
 class VotePredictor {
@@ -49,24 +43,12 @@ class VotePredictor {
   double predict(std::span<const double> features) const;
 
   /// The inference entry: raw (unscaled) feature rows in, one estimate per
-  /// row out. One blocked-GEMM (or int8) forward pass.
+  /// row out. One blocked-GEMM forward pass.
   void predict_batch(ml::Tensor<const double> rows, std::span<double> out) const;
 
   bool fitted() const { return fitted_; }
   /// Feature dimension the fitted model expects.
   std::size_t input_dim() const { return scaler_.dimension(); }
-
-  /// True when inference routes through the int8 network.
-  bool quantized() const { return quantized_ != nullptr; }
-
-  /// Derives the int8 network from the fp64 master weights with zero bias
-  /// correction (the load-time regeneration path — no calibration data).
-  void quantize_from_master();
-
-  /// The active int8 network, or nullptr on the fp64 path (bundle codec).
-  const ml::QuantizedMlp* quantized_net() const { return quantized_.get(); }
-  /// Installs a decoded int8 network (bundle load).
-  void install_quantized(ml::QuantizedMlp net);
 
   /// Model-bundle codec (scaler, network, and the target
   /// de-standardization); a decoded predictor is bit-identical in prediction.
@@ -78,7 +60,6 @@ class VotePredictor {
   ml::StandardScaler scaler_;
   std::vector<ml::LayerSpec> layer_specs(std::size_t) const;
   std::unique_ptr<ml::Mlp> network_;
-  std::unique_ptr<ml::QuantizedMlp> quantized_;
   double target_mean_ = 0.0;
   double target_scale_ = 1.0;
   bool fitted_ = false;

@@ -1,9 +1,12 @@
 #include "forum/io.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <system_error>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -19,6 +22,23 @@ void write_post(std::ostream& out, std::size_t question_id, bool is_question,
   out << question_id << ',' << (is_question ? 1 : 0) << ',' << post.creator
       << ',' << post.timestamp_hours << ',' << post.net_votes << ','
       << util::csv_escape_field(post.body_html) << '\n';
+}
+
+// Parses one numeric field in full: trailing characters, values outside T's
+// range (a negative or > 2^32 - 1 user id included) and an empty field are
+// errors naming the row and column.
+template <typename T>
+T parse_field(const std::string& text, std::size_t row, const char* column) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  FORUMCAST_CHECK_MSG(ec != std::errc::result_out_of_range,
+                      "row " << row << ": " << column << " '" << text
+                             << "' is out of range");
+  FORUMCAST_CHECK_MSG(ec == std::errc() && ptr == end,
+                      "row " << row << ": " << column << " '" << text
+                             << "' is not a number");
+  return value;
 }
 }  // namespace
 
@@ -61,17 +81,15 @@ Dataset load_posts_csv(std::istream& in) {
     FORUMCAST_CHECK_MSG(row.size() == 6, "row " << r << " has " << row.size()
                                                 << " fields");
     Post post;
-    long long question_id = 0;
-    int is_question = 0;
-    try {
-      question_id = std::stoll(row[0]);
-      is_question = std::stoi(row[1]);
-      post.creator = static_cast<UserId>(std::stoul(row[2]));
-      post.timestamp_hours = std::stod(row[3]);
-      post.net_votes = std::stoi(row[4]);
-    } catch (const std::exception& e) {
-      FORUMCAST_CHECK_MSG(false, "row " << r << ": " << e.what());
-    }
+    const auto question_id = parse_field<long long>(row[0], r, "question_id");
+    const auto is_question = parse_field<int>(row[1], r, "is_question");
+    post.creator = parse_field<UserId>(row[2], r, "user_id");
+    post.timestamp_hours = parse_field<double>(row[3], r, "timestamp_hours");
+    // The dataset sorts posts by time; NaN has no order and ±inf no day.
+    FORUMCAST_CHECK_MSG(std::isfinite(post.timestamp_hours),
+                        "row " << r << ": timestamp_hours '" << row[3]
+                               << "' is not finite");
+    post.net_votes = parse_field<int>(row[4], r, "net_votes");
     FORUMCAST_CHECK_MSG(is_question == 0 || is_question == 1,
                         "row " << r << ": is_question must be 0/1");
     post.body_html = row[5];

@@ -94,9 +94,11 @@ void brandes_source_sweep_scaled(const Graph& graph, NodeId source,
 
 namespace {
 
-// Adds one finished sweep's dependency into the accumulator. Per element
-// this is the same single `+=` the historic fused sweep performed (unvisited
-// nodes contribute an exact 0.0), so the exact path stays bit-identical.
+// Source slots of exact betweenness (fewer on graphs with fewer nodes).
+constexpr std::size_t kBetweennessSlots = 64;
+
+// Adds one finished sweep's dependency into the accumulator: one `+=` per
+// element (unvisited nodes contribute an exact 0.0).
 void accumulate_sweep(const detail::BrandesScratch& scratch, NodeId source,
                       std::vector<double>& betweenness) {
   for (NodeId w = 0; w < betweenness.size(); ++w) {
@@ -146,41 +148,35 @@ std::vector<double> betweenness_centrality(const Graph& graph,
   if (n < 3) return betweenness;
   FORUMCAST_SPAN_NAMED(span, "graph.betweenness");
   FORUMCAST_COUNTER_ADD("graph.bfs_sources", n);
-  if (threads == 0) threads = util::default_thread_count();
-  threads = std::min(threads, n);
-
-  if (threads <= 1) {
-    detail::BrandesScratch scratch(n);
-    for (NodeId source = 0; source < n; ++source) {
-      detail::brandes_source_sweep(graph, source, scratch);
-      accumulate_sweep(scratch, source, betweenness);
-    }
-  } else {
-    // Static partition: slot t owns sources ≡ t (mod threads), with its own
-    // accumulator; reduction in fixed slot order keeps results
-    // deterministic for a given thread count, whichever thread runs a slot.
-    std::vector<std::vector<double>> partials(threads,
-                                              std::vector<double>(n, 0.0));
-    util::parallel_for(
-        threads,
-        [&](std::size_t t) {
-          detail::BrandesScratch scratch(n);
-          for (NodeId source = static_cast<NodeId>(t); source < n;
-               source += threads) {
-            detail::brandes_source_sweep(graph, source, scratch);
-            accumulate_sweep(scratch, source, partials[t]);
+  // Sources are dealt round-robin into a fixed number of slots: slot s
+  // sweeps s, s + slots, ... in ascending order into its own accumulator,
+  // and the slots are summed in slot order. `threads` only decides which
+  // worker runs a slot, so the bits are the same at any thread count.
+  const std::size_t slots = std::min(kBetweennessSlots, n);
+  std::vector<std::vector<double>> partials(slots,
+                                            std::vector<double>(n, 0.0));
+  util::parallel_for_chunks(
+      slots,
+      [&](std::size_t begin, std::size_t end) {
+        detail::BrandesScratch scratch(n);
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          for (std::size_t source = slot; source < n; source += slots) {
+            detail::brandes_source_sweep(graph, static_cast<NodeId>(source),
+                                         scratch);
+            accumulate_sweep(scratch, static_cast<NodeId>(source),
+                             partials[slot]);
           }
-        },
-        threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      for (std::size_t v = 0; v < n; ++v) betweenness[v] += partials[t][v];
-    }
+        }
+      },
+      threads);
+  for (const auto& partial : partials) {
+    for (std::size_t v = 0; v < n; ++v) betweenness[v] += partial[v];
   }
   // Each unordered pair is counted from both endpoints in an undirected graph.
   for (double& b : betweenness) b /= 2.0;
   if (span.active()) {
     span.arg("nodes", static_cast<double>(n));
-    span.arg("threads", static_cast<double>(threads));
+    span.arg("slots", static_cast<double>(slots));
     const double seconds = span.elapsed_seconds();
     if (seconds > 0.0) {
       span.arg("sources_per_sec", static_cast<double>(n) / seconds);

@@ -16,7 +16,7 @@ namespace forumcast::graph {
 
 /// How centralities are computed and refreshed.
 enum class CentralityMode : std::uint8_t {
-  kExact = 0,    ///< full Brandes / all-source BFS; bit-stable legacy path
+  kExact = 0,    ///< full Brandes / all-source BFS; thread-count invariant
   kSampled = 1,  ///< pivot-sampled estimates + incremental dirty-region refresh
 };
 
@@ -45,10 +45,9 @@ std::vector<double> closeness_centrality(const Graph& graph,
                                          std::size_t threads = 1);
 
 /// Betweenness centrality for every node (undirected; each pair counted
-/// once). With threads > 1, sources are statically partitioned across
-/// threads with per-thread accumulators reduced in fixed order, so the
-/// result is deterministic for a given thread count (floating-point sums
-/// may differ from the serial order below 1e-12 relative).
+/// once). Sources are split into a fixed set of slots, each summed in
+/// source order and reduced in slot order; `threads` only spreads the slots
+/// over workers, so the result is bit-identical at any thread count.
 std::vector<double> betweenness_centrality(const Graph& graph,
                                            std::size_t threads = 1);
 

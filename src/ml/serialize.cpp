@@ -1,6 +1,5 @@
 #include "ml/serialize.hpp"
 
-#include <cstring>
 #include <string>
 
 #include "util/check.hpp"
@@ -88,71 +87,6 @@ Mlp decode_mlp(artifact::Decoder& dec) {
                                                    << model.param_count());
   std::copy(params.begin(), params.end(), model.params().begin());
   return model;
-}
-
-void encode_quantized_mlp(const QuantizedMlp& model, artifact::Encoder& enc) {
-  enc.u64(model.input_dim());
-  enc.u64(model.quantized_layers().size());
-  for (const auto& layer : model.quantized_layers()) {
-    enc.u64(layer.units);
-    enc.u64(layer.fan_in);
-    enc.str(activation_name(layer.activation));
-    // Strip the kPad zero padding: the bundle stores exactly units × fan_in.
-    std::vector<std::int8_t> unpadded(layer.units * layer.fan_in);
-    for (std::size_t u = 0; u < layer.units; ++u) {
-      std::memcpy(unpadded.data() + u * layer.fan_in,
-                  layer.weights.data() + u * layer.padded_k, layer.fan_in);
-    }
-    enc.i8s(unpadded);
-    enc.f64s(layer.scales, "quantized mlp scales");
-    enc.f64s(layer.bias, "quantized mlp bias");
-    enc.f64s(layer.bias_correction, "quantized mlp bias correction");
-  }
-}
-
-QuantizedMlp decode_quantized_mlp(artifact::Decoder& dec) {
-  const auto input_dim = dec.u64("quantized mlp input dim");
-  FORUMCAST_CHECK_MSG(input_dim >= 1 && input_dim <= kMaxSerializedCount,
-                      "quantized mlp input dim out of range: " << input_dim);
-  const auto layer_count = dec.u64("quantized mlp layer count");
-  FORUMCAST_CHECK_MSG(layer_count >= 1 && layer_count <= kMaxSerializedCount,
-                      "quantized mlp layer count out of range: " << layer_count);
-  std::vector<QuantizedLayer> layers;
-  layers.reserve(static_cast<std::size_t>(layer_count));
-  for (std::uint64_t l = 0; l < layer_count; ++l) {
-    QuantizedLayer layer;
-    const auto units = dec.u64("quantized mlp layer units");
-    FORUMCAST_CHECK_MSG(units >= 1 && units <= kMaxSerializedCount,
-                        "quantized mlp layer units out of range: " << units);
-    const auto fan_in = dec.u64("quantized mlp layer fan-in");
-    FORUMCAST_CHECK_MSG(fan_in >= 1 && fan_in <= kMaxSerializedCount,
-                        "quantized mlp layer fan-in out of range: " << fan_in);
-    layer.units = static_cast<std::size_t>(units);
-    layer.fan_in = static_cast<std::size_t>(fan_in);
-    layer.activation =
-        activation_from_name(dec.str("quantized mlp activation name"));
-    layer.weights = dec.i8s("quantized mlp weights");
-    FORUMCAST_CHECK_MSG(layer.weights.size() == layer.units * layer.fan_in,
-                        "quantized mlp weight count mismatch: "
-                            << layer.weights.size() << " vs "
-                            << layer.units * layer.fan_in);
-    layer.scales = dec.f64s("quantized mlp scales");
-    layer.bias = dec.f64s("quantized mlp bias");
-    layer.bias_correction = dec.f64s("quantized mlp bias correction");
-    FORUMCAST_CHECK_MSG(layer.scales.size() == layer.units &&
-                            layer.bias.size() == layer.units &&
-                            layer.bias_correction.size() == layer.units,
-                        "quantized mlp per-unit vector size mismatch for "
-                            << layer.units << " units");
-    for (std::size_t u = 0; u < layer.units; ++u) {
-      FORUMCAST_CHECK_MSG(layer.scales[u] > 0.0,
-                          "quantized mlp scale must be positive: "
-                              << layer.scales[u]);
-    }
-    layers.push_back(std::move(layer));
-  }
-  return QuantizedMlp::from_layers(static_cast<std::size_t>(input_dim),
-                                   std::move(layers));
 }
 
 }  // namespace forumcast::ml

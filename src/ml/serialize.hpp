@@ -2,10 +2,9 @@
 // artifact::Encoder/Decoder protocol. The model bundle
 // (ForecastPipeline::save/load) is the only persistence format, and these
 // codecs cover every ml:: piece it carries: scalers, the logistic
-// regression, MLPs and the int8 vote network. Doubles travel as raw IEEE
-// bits, so a decoded model predicts bit-identically to the one encoded;
-// decoders validate every count and shape and throw util::CheckError naming
-// the offending field.
+// regression and MLPs. Doubles travel as raw IEEE bits, so a decoded model
+// predicts bit-identically to the one encoded; decoders validate every count
+// and shape and throw util::CheckError naming the offending field.
 #pragma once
 
 #include <string>
@@ -13,7 +12,6 @@
 #include "artifact/artifact.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/mlp.hpp"
-#include "ml/quant.hpp"
 #include "ml/scaler.hpp"
 
 namespace forumcast::ml {
@@ -29,11 +27,5 @@ LogisticRegression decode_logistic(artifact::Decoder& dec);
 
 void encode_mlp(const Mlp& model, artifact::Encoder& enc);
 Mlp decode_mlp(artifact::Decoder& dec);
-
-/// Stores layers with *unpadded* int8 weight rows (units × fan_in) so the
-/// on-disk format is independent of QuantizedMlp::kPad; decode re-pads and
-/// rebuilds row sums via QuantizedMlp::from_layers.
-void encode_quantized_mlp(const QuantizedMlp& model, artifact::Encoder& enc);
-QuantizedMlp decode_quantized_mlp(artifact::Decoder& dec);
 
 }  // namespace forumcast::ml

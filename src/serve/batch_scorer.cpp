@@ -117,13 +117,9 @@ std::vector<core::Prediction> BatchScorer::score(
         }
       },
       config_.threads);
-  const bool quantized_votes = pipeline->vote_predictor().quantized();
 
   FORUMCAST_COUNTER_ADD("serve.pairs_scored", users.size());
   FORUMCAST_COUNTER_ADD("serve.batches", 1);
-  if (quantized_votes) {
-    FORUMCAST_COUNTER_ADD("serve.quantized_scores", users.size());
-  }
   if (monitor != nullptr) {
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - score_start)

@@ -187,15 +187,14 @@ TEST(ArtifactRoundTrip, LoadRejectsCorruptBundle) {
   EXPECT_THROW(ForecastPipeline::load(in, fixture.dataset), util::CheckError);
 }
 
-/// Re-encodes `base` section by section, taking the predictor of kind
-/// `foreign_kind` from `donor` instead (kMeta = none). Optional trailers are
-/// left out; the loader treats them as absent.
-std::string stitched_bundle(const ForecastPipeline& base,
-                            const ForecastPipeline& donor,
-                            const forum::Dataset& dataset,
-                            artifact::SectionKind foreign_kind) {
-  std::ostringstream out;
-  artifact::BundleWriter writer(out);
+/// Re-encodes `base` section by section into `writer`, taking the predictor
+/// of kind `foreign_kind` from `donor` instead (kMeta = none). Optional
+/// trailers are left out; the loader treats them as absent.
+void write_stitched_sections(artifact::BundleWriter& writer,
+                             const ForecastPipeline& base,
+                             const ForecastPipeline& donor,
+                             const forum::Dataset& dataset,
+                             artifact::SectionKind foreign_kind) {
   artifact::Encoder meta;
   meta.u64(dataset.num_questions());
   meta.u64(dataset.num_users());
@@ -216,6 +215,15 @@ std::string stitched_bundle(const ForecastPipeline& base,
   writer.section(artifact::SectionKind::kVotePredictor, vote);
   pick(artifact::SectionKind::kTimingPredictor).timing_predictor().encode(timing);
   writer.section(artifact::SectionKind::kTimingPredictor, timing);
+}
+
+std::string stitched_bundle(const ForecastPipeline& base,
+                            const ForecastPipeline& donor,
+                            const forum::Dataset& dataset,
+                            artifact::SectionKind foreign_kind) {
+  std::ostringstream out;
+  artifact::BundleWriter writer(out);
+  write_stitched_sections(writer, base, donor, dataset, foreign_kind);
   writer.finish();
   return std::move(out).str();
 }
@@ -256,6 +264,29 @@ TEST(ArtifactRoundTrip, LoadRejectsPredictorShapeMismatch) {
                 std::string::npos)
           << what;
     }
+  }
+}
+
+TEST(ArtifactRoundTrip, LoadRejectsRetiredQuantizedMlpSection) {
+  // Section kind 9 once carried an int8 copy of the vote network. Nothing
+  // reads it any more, so a bundle that still has one must be refused by
+  // name instead of loading without it.
+  auto& fixture = RoundTripFixture::instance();
+  std::ostringstream out;
+  artifact::BundleWriter writer(out);
+  write_stitched_sections(writer, fixture.pipeline, fixture.pipeline,
+                          fixture.dataset, artifact::SectionKind::kMeta);
+  artifact::Encoder retired;
+  retired.u64(0);
+  writer.section(artifact::SectionKind::kQuantizedMlp, retired);
+  writer.finish();
+  std::istringstream in(std::move(out).str());
+  try {
+    ForecastPipeline::load(in, fixture.dataset);
+    ADD_FAILURE() << "expected CheckError";
+  } catch (const util::CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("quantized_mlp"), std::string::npos) << what;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "forum/generator.hpp"
 #include "forum/io.hpp"
@@ -121,11 +122,34 @@ TEST(ForumIo, RejectsDuplicateQuestionRow) {
 }
 
 TEST(ForumIo, RejectsMalformedNumbers) {
-  const std::string csv =
+  // Each bad row follows one good question row, so the error must name
+  // row 2. Every field parses in full and in range: no wrap-around user ids,
+  // no prefix parses, no NaN timestamps for the time sort to choke on.
+  const std::string header =
       "question_id,is_question,user_id,timestamp_hours,net_votes,body_html\n"
-      "7,1,zero,1.0,0,x\n";
-  std::istringstream in(csv);
-  EXPECT_THROW(load_posts_csv(in), util::CheckError);
+      "7,1,3,1.0,0,x\n";
+  for (const char* bad_row : {
+           "8,1,zero,1.0,0,x",       // not a number
+           "8,1,4294967296,1.0,0,x",  // user id past UserId
+           "8,1,-1,1.0,0,x",         // negative user id
+           "8,1,2x,1.0,0,x",         // trailing characters
+           "8,1,2,1.5abc,0,x",       // trailing characters
+           "8,1,2,nan,0,x",          // non-finite timestamp
+           "8,1,2,inf,0,x",          // non-finite timestamp
+           "8,1,2,1e400,0,x",        // timestamp out of double range
+           "8,1,2,,0,x",             // empty field
+           "8,1,2,1.0,99999999999,x",  // net votes past int
+           "99999999999999999999,1,2,1.0,0,x",  // question id past long long
+       }) {
+    std::istringstream in(header + bad_row + "\n");
+    try {
+      load_posts_csv(in);
+      ADD_FAILURE() << "accepted: " << bad_row;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("row 2:"), std::string::npos)
+          << bad_row << " -> " << e.what();
+    }
+  }
 }
 
 TEST(ForumIo, RejectsWrongColumnCount) {

@@ -11,7 +11,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -257,67 +256,6 @@ TEST(BatchScorer, ConstantOmegaBitIdenticalToScalarPredict) {
           << "u=" << users[i] << " q=" << q;
     }
   }
-}
-
-// Every user against the first, middle and last question: predict(u, q)
-// equals score() bit for bit (bit patterns, so -0.0 and NaN payloads count).
-void expect_predict_matches_score(const core::ForecastPipeline& pipeline,
-                                  const forum::Dataset& dataset) {
-  const auto bits = [](double value) {
-    return std::bit_cast<std::uint64_t>(value);
-  };
-  BatchScorer scorer(pipeline, {.block_rows = 32});
-  const auto users = all_users(dataset);
-  ASSERT_GE(users.size(), 64u);
-  const std::size_t last = dataset.num_questions() - 1;
-  for (const std::size_t index : {std::size_t{0}, last / 2, last}) {
-    const auto q = static_cast<forum::QuestionId>(index);
-    const auto batch = scorer.score(q, users);
-    ASSERT_EQ(batch.size(), users.size());
-    for (std::size_t i = 0; i < users.size(); ++i) {
-      const auto single = pipeline.predict(users[i], q);
-      EXPECT_EQ(bits(batch[i].answer_probability),
-                bits(single.answer_probability));
-      EXPECT_EQ(bits(batch[i].votes), bits(single.votes));
-      EXPECT_EQ(bits(batch[i].delay_hours), bits(single.delay_hours))
-          << "u=" << users[i] << " q=" << q;
-    }
-  }
-}
-
-TEST(BatchScorer, QuantizedPipelinePredictMatchesScore) {
-  // The int8 vote path, in all three ways a pipeline gets one: calibrated at
-  // fit time, decoded from a bundle, and quantized at load from fp64 weights.
-  forum::GeneratorConfig gen;
-  gen.num_users = 100;
-  gen.num_questions = 110;
-  gen.seed = 313;
-  const auto dataset = forum::generate_forum(gen).dataset.preprocessed();
-  const auto history = dataset.questions_in_days(1, 20);
-
-  core::PipelineConfig config = fast_pipeline_config();
-  config.vote.quantize = true;
-  core::ForecastPipeline calibrated(config);
-  calibrated.fit(dataset, history);
-  ASSERT_TRUE(calibrated.vote_predictor().quantized());
-  expect_predict_matches_score(calibrated, dataset);
-
-  std::stringstream quantized_bundle;
-  calibrated.save(quantized_bundle);
-  const auto decoded = core::ForecastPipeline::load(quantized_bundle, dataset);
-  ASSERT_TRUE(decoded.vote_predictor().quantized());
-  expect_predict_matches_score(decoded, dataset);
-
-  config.vote.quantize = false;
-  core::ForecastPipeline fp64(config);
-  fp64.fit(dataset, history);
-  std::stringstream fp64_bundle;
-  fp64.save(fp64_bundle);
-  auto regenerated = core::ForecastPipeline::load(fp64_bundle, dataset);
-  ASSERT_FALSE(regenerated.vote_predictor().quantized());
-  regenerated.quantize_vote();
-  ASSERT_TRUE(regenerated.vote_predictor().quantized());
-  expect_predict_matches_score(regenerated, dataset);
 }
 
 TEST(BatchScorer, RecommenderBatchPathMatchesScalarPath) {

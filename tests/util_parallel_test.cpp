@@ -228,12 +228,9 @@ TEST(ParallelCentrality, BetweennessMatchesSerial) {
   const auto g = random_graph(300, 600, 42);
   const auto serial = graph::betweenness_centrality(g, 1);
   for (std::size_t threads : {2u, 4u, 7u}) {
-    const auto parallel = graph::betweenness_centrality(g, threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t v = 0; v < serial.size(); ++v) {
-      EXPECT_NEAR(parallel[v], serial[v], 1e-9 * (1.0 + serial[v]))
-          << "threads " << threads << " node " << v;
-    }
+    // Fixed source slots reduced in a fixed order: bitwise identical.
+    EXPECT_EQ(graph::betweenness_centrality(g, threads), serial)
+        << "threads " << threads;
   }
 }
 

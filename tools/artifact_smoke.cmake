@@ -10,9 +10,6 @@
 #   3. The serve process must run zero fit stages, asserted via the absence
 #      of any pipeline.fit.* metric in its --metrics-out snapshot (and the
 #      presence of pipeline.bundle_loads).
-#   4. The same fit + two cold serves with `--quantize on`: the int8 vote
-#      net calibrated at fit time round-trips through the bundle, so the
-#      three int8 digests agree, and they differ from the fp64 digest.
 #
 # Invoked as:
 #   cmake -DFORUMCAST_CLI=<path> -DWORK_DIR=<dir> -P artifact_smoke.cmake
@@ -101,35 +98,5 @@ if(err OR pairs LESS 1)
   message(FATAL_ERROR "serve scored no pairs: ${err}")
 endif()
 
-# --- int8 vote path: fit --quantize on, then two cold serves --quantize on. ---
-set(int8_bundle "${WORK_DIR}/model_int8.fcm")
-execute_process(
-  COMMAND "${FORUMCAST_CLI}" fit
-          --data "${posts}" --model-out "${int8_bundle}"
-          --history-days 25 --lda-iterations 5 --seed 7 --quantize on
-  RESULT_VARIABLE rc OUTPUT_VARIABLE int8_fit_out)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "forumcast fit --quantize on failed (rc=${rc})")
-endif()
-extract_digest("${int8_fit_out}" int8_fit_digest)
-foreach(run 1 2)
-  execute_process(
-    COMMAND "${FORUMCAST_CLI}" serve
-            --data "${posts}" --model-in "${int8_bundle}" --quantize on
-    RESULT_VARIABLE rc OUTPUT_VARIABLE int8_serve_out)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "forumcast serve --quantize on #${run} failed (rc=${rc})")
-  endif()
-  extract_digest("${int8_serve_out}" int8_serve_digest)
-  if(NOT int8_serve_digest STREQUAL int8_fit_digest)
-    message(FATAL_ERROR "int8 prediction digests diverged across processes: "
-                        "fit=${int8_fit_digest} serve#${run}=${int8_serve_digest}")
-  endif()
-endforeach()
-if(int8_fit_digest STREQUAL fit_digest)
-  message(FATAL_ERROR "--quantize on printed the fp64 digest ${fit_digest}: "
-                      "the int8 vote path did not serve")
-endif()
-
-message(STATUS "artifact smoke test passed: digest ${fit_digest} (fp64) and "
-               "${int8_fit_digest} (int8) each bit-stable across fit and two cold serves")
+message(STATUS "artifact smoke test passed: digest ${fit_digest} bit-stable "
+               "across fit and two cold serves")

@@ -60,7 +60,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -71,7 +70,6 @@
 #include "eval/metrics.hpp"
 #include "forum/generator.hpp"
 #include "forum/io.hpp"
-#include "ml/quant.hpp"
 #include "net/server.hpp"
 #include "obs/monitor/monitor.hpp"
 #include "obs/obs.hpp"
@@ -116,16 +114,6 @@ class Args {
   double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  /// On/off switch; absent means off. Every flag takes a value, so switches
-  /// are spelled `--quantize on`.
-  bool get_switch(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return false;
-    FORUMCAST_CHECK_MSG(it->second == "on" || it->second == "off",
-                        "--" << key << " must be 'on' or 'off', got '"
-                             << it->second << "'");
-    return it->second == "on";
   }
 
  private:
@@ -188,30 +176,11 @@ core::ForecastPipeline fit_all_questions(const forum::Dataset& dataset,
   return pipeline;
 }
 
-/// `--quantize on|off`. The int8 vote path only outruns the fp64 forward on
-/// the packed AVX-512 VNNI kernels; elsewhere it still serves (same bits,
-/// just slower), after one warning per process.
-bool quantize_requested(const Args& args) {
-  const bool on = args.get_switch("quantize");
-  static bool warned = false;
-  if (on && !warned && std::string_view(ml::gemm_s8_variant()) == "scalar") {
-    warned = true;
-    std::cerr << "warning: --quantize on: no AVX-512 VNNI here, so the int8 "
-                 "vote path runs its scalar reference and is slower than "
-                 "fp64; serving anyway\n";
-  }
-  return on;
-}
-
 core::ForecastPipeline fit_pipeline(const forum::Dataset& dataset,
                                     const Args& args) {
   const int history_days = static_cast<int>(args.get_int("history-days", 25));
   FORUMCAST_CHECK_MSG(history_days >= 1, "--history-days must be >= 1");
   core::PipelineConfig config = pipeline_config(args);
-  // Fit-time quantization calibrates bias correction on the training rows —
-  // strictly better than the load-time regeneration obtain_pipeline falls
-  // back to for pre-quantization bundles.
-  config.vote.quantize = quantize_requested(args);
   core::ForecastPipeline pipeline(config);
   const auto history = dataset.questions_in_days(1, history_days);
   FORUMCAST_CHECK_MSG(!history.empty(), "no questions in days 1-" << history_days);
@@ -250,7 +219,6 @@ core::ForecastPipeline obtain_pipeline(const forum::Dataset& dataset,
   core::ForecastPipeline pipeline = model_in.empty()
                                         ? fit_pipeline(dataset, args)
                                         : load_bundle(dataset, model_in);
-  if (quantize_requested(args)) pipeline.quantize_vote();
   const std::string model_out = args.get("model-out", "");
   if (!model_out.empty()) save_bundle(pipeline, model_out);
   return pipeline;
@@ -1037,7 +1005,6 @@ int cmd_serve(const Args& args) {
   // (the metrics snapshot carries no pipeline.fit.* histograms — the smoke
   // test asserts exactly that).
   auto pipeline = load_bundle(dataset, args.require("model-in"));
-  if (quantize_requested(args)) pipeline.quantize_vote();
   print_prediction_digest(pipeline);
   if (args.get("listen", "").size() > 0) {
     return run_daemon(dataset, std::move(pipeline), args);
@@ -1207,18 +1174,13 @@ void usage() {
                "serving (predict, route, serve):\n"
                "  --batch-size N       rows per batched-scoring block (default 256);\n"
                "                       cache hit/miss counters land in --metrics-out\n"
-               "  --quantize on        serve the vote network on the int8 path.\n"
-               "                       At fit time the quantized net is calibrated\n"
-               "                       on the training rows and saved into the\n"
-               "                       bundle (kQuantizedMlp section); on a bundle\n"
-               "                       without that section it is regenerated from\n"
-               "                       the fp64 master weights at load\n"
                "training (fit, predict, route, ingest):\n"
                "  --fit-threads N      AD-LDA Gibbs shards (0 = all cores); the\n"
                "                       only fit stage that splits across threads.\n"
                "                       1 (default) runs the serial sampler; N>1\n"
                "                       is deterministic per thread count\n"
-               "  --centrality-mode M  'exact' (default; bit-stable full Brandes)\n"
+               "  --centrality-mode M  'exact' (default; exact Brandes, identical\n"
+               "                       at any thread count)\n"
                "                       or 'sampled' (pivot-sampled centralities\n"
                "                       with incremental dirty-region refresh —\n"
                "                       the streaming-ingest scale knob). Saved\n"

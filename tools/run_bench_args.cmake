@@ -13,8 +13,7 @@ endforeach()
 
 set(thresholds
   BENCH_MIN_SPEEDUP BENCH_FIT_MIN_SPEEDUP BENCH_MONITOR_MIN_RATIO
-  BENCH_NET_MIN_RPS BENCH_REPLICA_MIN_EPS BENCH_CENTRALITY_MIN_SPEEDUP
-  BENCH_ML_MIN_SPEEDUP)
+  BENCH_NET_MIN_RPS BENCH_REPLICA_MIN_EPS BENCH_CENTRALITY_MIN_SPEEDUP)
 
 # Two fake build trees, neither with any bench binary: one that passes the
 # Release/native gate (so only a bad threshold can stop the script) and one
