@@ -7,12 +7,13 @@
 // bit-identical predictions, so items_per_second is the only axis.
 //
 // The fixture fits one pipeline on a mid-sized generated forum with the
-// PaperUnnormalized delay estimator — the closed-form expectation — so the
-// measurement isolates feature assembly + model forwards instead of being
-// dominated by the Simpson integration both paths would share.
+// default ConditionalFirstEvent delay estimator, so both paths pay the
+// served timing head. BM_TimingDelayBatch reports that head alone (rows/sec)
+// at constant and learned ω; it is a report, not a guard.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -33,6 +34,25 @@ struct ServeFixture {
   static ServeFixture& instance() {
     static ServeFixture fixture;
     return fixture;
+  }
+
+  /// The pipeline's timing head refit with the decay network g_Θ (learned
+  /// ω, the library default) on the same threads; built on first use.
+  const core::TimingPredictor& learned_omega_timing() {
+    if (!learned_omega_) {
+      const auto history = dataset.questions_in_days(1, 25);
+      const core::PipelineConfig pipeline_config = make_config();
+      const auto threads = core::build_timing_threads(
+          dataset, pipeline.extractor(), dataset.answered_pairs(history),
+          dataset.last_post_time(), pipeline_config.survival_samples_per_thread,
+          pipeline_config.seed ^ 0x7117ULL);
+      core::TimingPredictorConfig config = pipeline_config.timing;
+      config.learn_omega = true;
+      config.g_hidden = config.f_hidden;
+      learned_omega_.emplace(config);
+      learned_omega_->fit(threads);
+    }
+    return *learned_omega_;
   }
 
  private:
@@ -68,14 +88,14 @@ struct ServeFixture {
     config.vote.epochs = 10;
     config.timing.epochs = 5;
     config.survival_samples_per_thread = 5;
-    config.timing.expectation =
-        core::TimingPredictorConfig::Expectation::PaperUnnormalized;
     // Constant ω (no g-network) — the parametrization the paper found best
     // on Stack Overflow and the cheaper serving configuration.
     config.timing.learn_omega = false;
     config.timing.f_hidden = {20, 10};
     return config;
   }
+
+  std::optional<core::TimingPredictor> learned_omega_;
 };
 
 std::span<const forum::UserId> candidate_slice(const ServeFixture& fixture,
@@ -132,9 +152,10 @@ void BM_BatchAssemble(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchAssemble)->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_BatchForwards(benchmark::State& state) {
-  auto& fixture = ServeFixture::instance();
-  const auto users = candidate_slice(fixture, static_cast<std::size_t>(state.range(0)));
+// The fixture question's feature rows for `users`, assembled once through
+// a warm feature cache (the input the model forwards see when serving).
+ml::Matrix assembled_rows(const ServeFixture& fixture,
+                          std::span<const forum::UserId> users) {
   serve::FeatureCache cache;
   cache.sync(fixture.pipeline.extractor(), fixture.pipeline.dataset(),
              fixture.pipeline.generation());
@@ -144,6 +165,13 @@ void BM_BatchForwards(benchmark::State& state) {
   for (std::size_t r = 0; r < users.size(); ++r) {
     cache.assemble(users[r], *block, x.row(r));
   }
+  return x;
+}
+
+void BM_BatchForwards(benchmark::State& state) {
+  auto& fixture = ServeFixture::instance();
+  const auto users = candidate_slice(fixture, static_cast<std::size_t>(state.range(0)));
+  const ml::Matrix x = assembled_rows(fixture, users);
   const double open_duration =
       fixture.pipeline.question_open_duration(fixture.question);
   std::vector<double> answer(users.size()), votes(users.size()),
@@ -160,6 +188,33 @@ void BM_BatchForwards(benchmark::State& state) {
                           static_cast<std::int64_t>(users.size()));
 }
 BENCHMARK(BM_BatchForwards)->Arg(256)->Unit(benchmark::kMillisecond);
+
+// The timing head alone on 256 assembled rows: the rate networks plus the
+// conditional-delay estimator per row. learned_omega 0 is the fixture's
+// constant-ω predictor, 1 its learned-ω refit, where every row has its own ω.
+void BM_TimingDelayBatch(benchmark::State& state) {
+  auto& fixture = ServeFixture::instance();
+  const auto users = candidate_slice(fixture, static_cast<std::size_t>(state.range(0)));
+  const core::TimingPredictor& timing =
+      state.range(1) == 0 ? fixture.pipeline.timing_predictor()
+                          : fixture.learned_omega_timing();
+  const ml::Matrix x = assembled_rows(fixture, users);
+  const double open_duration =
+      fixture.pipeline.question_open_duration(fixture.question);
+  std::vector<double> delay(users.size());
+  for (auto _ : state) {
+    timing.predict_delay_batch(x.view(), open_duration, delay);
+    benchmark::DoNotOptimize(delay.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(users.size()));
+}
+BENCHMARK(BM_TimingDelayBatch)
+    ->ArgNames({"rows", "learned_omega"})
+    ->Args({256, 0})
+    ->Args({256, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 // Cold-cache variant: a fresh scorer per iteration pays the user-block warm
 // and the question block build inside the timed region. Shows the cache fill

@@ -1,8 +1,6 @@
 #include "core/timing_predictor.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -20,35 +18,143 @@ namespace {
 constexpr double kMuFloor = 1e-6;
 constexpr double kOmegaFloor = 1e-4;
 
-// (1 − e^{−ωΔ}) / ω given x = ωΔ and e = e^{−x}, stable for small ωΔ.
-double survival_integral(double omega, double delta, double x, double e) {
-  if (x < 1e-8) return delta * (1.0 - 0.5 * x);
-  return (1.0 - e) / omega;
+// Series cut-off: a sum stops once its remainder is below 2^-55 of itself.
+constexpr double kTolerance = 0x1p-55;
+
+// γ₂(y) = 1 − (1 + y)e^{−y} for 0 ≤ y < 0.5 by its alternating series
+// Σ_{m≥2} (−1)^m y^m (m − 1)/m!, which the direct form loses to
+// cancellation.
+double gamma2_series(double y) {
+  double power = 0.5 * y * y;  // (−y)^m / m! at m = 2
+  double sum = power;
+  for (int m = 3; m < 40; ++m) {
+    power *= -y / m;
+    const double term = power * (m - 1);
+    sum += term;
+    if (std::fabs(term) <= kTolerance * sum) break;
+  }
+  return sum;
 }
+
+double gamma2(double y) {
+  return y < 0.5 ? gamma2_series(y) : 1.0 - (1.0 + y) * std::exp(-y);
+}
+
+// Λ / (1 − e^{−Λ}), 1 at Λ = 0.
+double intensity_ratio(double big_lambda) {
+  return big_lambda > 0.0 ? big_lambda / -std::expm1(-big_lambda) : 1.0;
+}
+
+// c ≤ 40: N = (e^{−c}/ω)·Σ_{k≥1} (c^k/k!)·γ₂(kx)/k. Returns the sum with one
+// factor c taken out, Σ_{k≥1} (c^{k−1}/k!)·γ₂(kx)/k, so that an underflowing
+// c leaves γ₂(x). Every term is positive; s^k = e^{−kx} comes from repeated
+// multiplication until kx passes 50, beyond which γ₂(kx) rounds to 1.
+// γ₂((k+1)x) ≤ ((k+1)/k)²·γ₂(kx), so consecutive terms shrink by at least
+// c/k and once k ≥ 2c the remainder is below the last term.
+double small_c_sum(double c, double x, double s) {
+  double coefficient = 1.0;  // c^{k−1}/k!
+  double s_k = s;            // e^{−kx} while kx < 50
+  double sum = 0.0;
+  for (int k = 1; k < 400; ++k) {
+    const double y = k * x;
+    double gamma = 1.0;
+    if (y < 0.5) {
+      gamma = gamma2_series(y);
+    } else if (y < 50.0) {
+      gamma = 1.0 - (1.0 + y) * s_k;
+    }
+    const double term = coefficient * gamma / k;
+    sum += term;
+    if (k >= 2.0 * c && term <= kTolerance * sum) break;
+    coefficient *= c / (k + 1);
+    if (y < 50.0) s_k *= s;
+  }
+  return sum;
+}
+
+// e^{−y}·Ei(y) for y ≥ 0, given ln y separately so that a y that
+// underflowed to 0 still has its logarithm. Above 40 the asymptotic series
+// (1/y)·Σ k!/y^k, cut at its smallest term (about 1e-16 at y = 40);
+// otherwise the power series Ei(y) = γ + ln y + Σ_{k≥1} y^k/(k·k!).
+double scaled_ei(double y, double log_y) {
+  if (y > 40.0) {
+    double term = 1.0, sum = 1.0;
+    for (int k = 1; k < y && term > kTolerance * sum; ++k) {
+      term *= k / y;
+      sum += term;
+    }
+    return sum / y;
+  }
+  constexpr double kEulerGamma = 0.57721566490153286061;
+  double power = 1.0, series = 0.0;
+  for (int k = 1; k < 400; ++k) {
+    power *= y / k;
+    const double term = power / k;
+    series += term;
+    if (term <= kTolerance * series) break;
+  }
+  return std::exp(-y) * (kEulerGamma + log_y + series);
+}
+
+// c > 40, x < 0.5, Λ ≤ 40, where Ei(c) − Ei(cs) would cancel. Substituting
+// u = Λ(τ) gives N·μ = e^{−Λ}Λ²·Σ_{k≥0} q^k M(k+2)/((k+1)(k+2)) with
+// q = 1 − s < 0.4 and M(n) = Σ_m Λ^m n!/(n+m)!. Returns the sum over k. The
+// terms shrink by at least q, so K terms with q^K < 2^-56 suffice; M at the
+// top comes from its series and the rest from M(n) = 1 + Λ·M(n+1)/(n+1),
+// summed Horner-style from the top down.
+double large_c_sum(double big_lambda, double q) {
+  int top = 0;
+  for (double power = 1.0; power > 0x1p-56; power *= q) ++top;
+  double m = 1.0, term = 1.0;  // M(top + 2)
+  for (int j = 1; j < 400 && term > kTolerance * m; ++j) {
+    term *= big_lambda / (top + 2 + j);
+    m += term;
+  }
+  double sum = m / ((top + 1.0) * (top + 2.0));
+  for (int k = top - 1; k >= 0; --k) {
+    m = 1.0 + big_lambda * m / (k + 3);  // M(k + 2)
+    sum = m / ((k + 1.0) * (k + 2.0)) + q * sum;
+  }
+  return sum;
+}
+
+}  // namespace
 
 double survival_integral(double omega, double delta) {
-  const double x = omega * delta;
-  return survival_integral(omega, delta, x, std::exp(-x));
+  return -std::expm1(-omega * delta) / omega;
 }
 
-// Composite Simpson weights 1, 4, 2, 4, …, 2, 4, 1.
-constexpr auto kSimpsonWeights = [] {
-  std::array<double, SimpsonDelayGrid::kSegments + 1> w{};
-  for (int i = 0; i <= SimpsonDelayGrid::kSegments; ++i) {
-    w[i] = (i == 0 || i == SimpsonDelayGrid::kSegments) ? 1.0
-                                                        : (i % 2 == 1 ? 4.0 : 2.0);
-  }
-  return w;
-}();
-
-// d/dω of survival_integral.
 double survival_integral_domega(double omega, double delta) {
-  const double x = omega * delta;
-  if (x < 1e-6) return -0.5 * delta * delta;
-  const double e = std::exp(-x);
-  return (delta * e) / omega - (1.0 - e) / (omega * omega);
+  return -gamma2(omega * delta) / (omega * omega);
 }
-}  // namespace
+
+double conditional_delay(double mu, double omega, double delta) {
+  if (!(delta > 0.0)) return 0.0;
+  const double x = omega * delta;
+  const double c = mu / omega;
+  // s = e^{−x}, flushed to 0 before it turns subnormal (slow, and below
+  // every term it feeds), and q = 1 − s without cancellation.
+  const double s = x < 700.0 ? std::exp(-x) : 0.0;
+  const double q = x < 0.5 ? -std::expm1(-x) : 1.0 - s;
+  const double big_lambda = c * q;
+  if (c <= 40.0) {
+    // Uniform to double precision: r̂ = Δ/2·(1 − (c + 1)x/6 + …).
+    if (x < 0x1p-60) return 0.5 * delta;
+    return std::exp(-c) * intensity_ratio(big_lambda) * small_c_sum(c, x, s) /
+           (omega * q);
+  }
+  if (x >= 0.5 || big_lambda > 40.0) {
+    // N·ω = E(c) − e^{−Λ}·(E(cs) + x) with E(y) = e^{−y}Ei(y); here the
+    // second term is at most about 3e-6 of the first, so nothing cancels.
+    const double log_c = std::log(c);
+    const double n_omega =
+        scaled_ei(c, log_c) -
+        std::exp(-big_lambda) * (scaled_ei(c * s, log_c - x) + x);
+    return n_omega / (omega * -std::expm1(-big_lambda));
+  }
+  return std::exp(-big_lambda) * intensity_ratio(big_lambda) *
+         large_c_sum(big_lambda, q) * q / omega;
+}
 
 TimingPredictor::TimingPredictor(TimingPredictorConfig config)
     : config_(std::move(config)) {
@@ -229,12 +335,10 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
   calibration_slope_ = 1.0;
   if (config_.calibrate) {
     std::vector<double> raw, observed;
-    // Rows of one thread share Δ, so constant ω builds one grid per thread.
-    SimpsonDelayGrid grid;
     for (const auto& thread : threads) {
       for (const auto& answer : thread.answers) {
         const auto [mu, omega] = rates(answer.features);
-        raw.push_back(raw_estimate(mu, omega, thread.open_duration, grid));
+        raw.push_back(raw_estimate(mu, omega, thread.open_duration));
         observed.push_back(answer.delay);
       }
     }
@@ -282,51 +386,15 @@ double TimingPredictor::mean_log_likelihood(
   return total / static_cast<double>(threads.size());
 }
 
-void SimpsonDelayGrid::build(double omega, double delta) {
-  if (built_ && std::bit_cast<std::uint64_t>(omega) ==
-                    std::bit_cast<std::uint64_t>(omega_) &&
-      std::bit_cast<std::uint64_t>(delta) ==
-          std::bit_cast<std::uint64_t>(delta_)) {
-    return;
-  }
-  omega_ = omega;
-  delta_ = delta;
-  built_ = true;
-  const double h = delta / kSegments;
-  for (int i = 0; i <= kSegments; ++i) {
-    const double tau = h * i;
-    const double x = omega * tau;
-    const double e = std::exp(-x);
-    decay_[i] = e;
-    survival_[i] = survival_integral(omega, tau, x, e);
-    weight_tau_[i] = kSimpsonWeights[i] * tau;
-  }
-}
-
-double SimpsonDelayGrid::eval(double mu) const {
-  double numerator = 0.0, denominator = 0.0;
-  for (int i = 0; i <= kSegments; ++i) {
-    const double lambda = mu * decay_[i];
-    const double big_lambda = mu * survival_[i];
-    const double density = lambda * std::exp(-big_lambda);
-    numerator += weight_tau_[i] * density;
-    denominator += kSimpsonWeights[i] * density;
-  }
-  if (denominator <= 1e-300) return delta_;  // no mass: predict the horizon
-  return numerator / denominator;
-}
-
 double TimingPredictor::raw_estimate(double mu, double omega,
-                                     double open_duration,
-                                     SimpsonDelayGrid& grid) const {
+                                     double open_duration) const {
   if (config_.expectation == TimingPredictorConfig::Expectation::PaperUnnormalized) {
     // r̂ = μ/ω² (1 − e^{−ωΔ}(1 + ωΔ)), the paper's E[t] − t(p_{q,0}).
     const double x = omega * open_duration;
     const double tail = x > 500.0 ? 0.0 : std::exp(-x) * (1.0 + x);
     return mu / (omega * omega) * (1.0 - tail);
   }
-  grid.build(omega, open_duration);
-  return grid.eval(mu);
+  return conditional_delay(mu, omega, open_duration);
 }
 
 void TimingPredictor::rates(ml::Tensor<const double> rows,
@@ -376,9 +444,8 @@ void TimingPredictor::predict_delay_batch(ml::Tensor<const double> rows,
   const std::span<double> mu{ws.alloc<double>(rows.rows()), rows.rows()};
   const std::span<double> omega{ws.alloc<double>(rows.rows()), rows.rows()};
   rates(rows, mu, omega);
-  SimpsonDelayGrid grid;  // constant ω: one grid for every row
   for (std::size_t r = 0; r < rows.rows(); ++r) {
-    const double raw = raw_estimate(mu[r], omega[r], open_duration, grid);
+    const double raw = raw_estimate(mu[r], omega[r], open_duration);
     out[r] = std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
   }
 }

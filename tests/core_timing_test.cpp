@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -158,61 +159,169 @@ TEST(TimingPredictor, ZeroOpenDurationFallsBackToTrainingMean) {
   }
 }
 
-// The per-point Simpson loop SimpsonDelayGrid replaced, kept as the
-// reference: every point recomputes e^{−ωτ} for λ and again inside the
-// survival integral, then e^{−Λ}.
-double reference_survival_integral(double omega, double delta) {
-  const double x = omega * delta;
-  if (x < 1e-8) return delta * (1.0 - 0.5 * x);
-  return (1.0 - std::exp(-x)) / omega;
+// 24-point Gauss–Legendre rule on [−1, 1] in long double: Newton on the
+// Legendre recurrence from the Tricomi starting guesses.
+struct GaussLegendre {
+  static constexpr int kPoints = 24;
+  long double node[kPoints] = {};
+  long double weight[kPoints] = {};
+};
+
+const GaussLegendre& gauss_legendre() {
+  static const GaussLegendre rule = [] {
+    GaussLegendre r;
+    constexpr int n = GaussLegendre::kPoints;
+    const long double pi = 3.141592653589793238462643383279502884L;
+    for (int i = 0; i < n; ++i) {
+      long double z = std::cos(pi * (i + 0.75L) / (n + 0.5L));
+      long double derivative = 1.0L;
+      for (int iteration = 0; iteration < 100; ++iteration) {
+        long double p0 = 1.0L, p1 = z;
+        for (int k = 2; k <= n; ++k) {
+          const long double p2 = ((2 * k - 1) * z * p1 - (k - 1) * p0) / k;
+          p0 = p1;
+          p1 = p2;
+        }
+        derivative = n * (z * p1 - p0) / (z * z - 1.0L);
+        const long double step = p1 / derivative;
+        z -= step;
+        if (std::fabs(step) < 1e-20L) break;
+      }
+      r.node[i] = z;
+      r.weight[i] = 2.0L / ((1.0L - z * z) * derivative * derivative);
+    }
+    return r;
+  }();
+  return rule;
 }
 
-double reference_conditional_delay(double mu, double omega, double delta) {
-  const int segments = 200;
-  const double h = delta / segments;
-  double numerator = 0.0, denominator = 0.0;
-  for (int i = 0; i <= segments; ++i) {
-    const double tau = h * i;
-    const double lambda = mu * std::exp(-omega * tau);
-    const double big_lambda = mu * reference_survival_integral(omega, tau);
-    const double density = lambda * std::exp(-big_lambda);
-    const double w = (i == 0 || i == segments) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
-    numerator += w * tau * density;
-    denominator += w * density;
+// E[τ | first answer in [0, Δ]] under λ(τ) = μe^{−ωτ} by direct quadrature
+// of N = ∫₀^Δ (e^{−Λ(τ)} − e^{−Λ(Δ)}) dτ over D = 1 − e^{−Λ(Δ)}, in long
+// double. The integrand is written as e^{−Λ(τ)}·(1 − e^{−(Λ(Δ) − Λ(τ))})
+// with Λ(Δ) − Λ(τ) = c·e^{−ωτ}·(1 − e^{−ω(Δ−τ)}), so nothing cancels. Its
+// length scale is 1/(μ + ω): one panel covers [0, τ₀] with τ₀ = Δ/2^J below
+// a tenth of it, then doubling panels [τ₀2^j, τ₀2^{j+1}] reach Δ.
+long double reference_conditional_delay(double mu_in, double omega_in,
+                                        double delta_in) {
+  const long double mu = mu_in, omega = omega_in, delta = delta_in;
+  const long double c = mu / omega;
+  const auto integrand = [&](long double tau) {
+    const long double before = c * -std::expm1(-omega * tau);
+    const long double gap =
+        c * std::exp(-omega * tau) * -std::expm1(-omega * (delta - tau));
+    return std::exp(-before) * -std::expm1(-gap);
+  };
+  const GaussLegendre& rule = gauss_legendre();
+  const auto panel = [&](long double a, long double b) {
+    const long double half = 0.5L * (b - a), mid = 0.5L * (a + b);
+    long double sum = 0.0L;
+    for (int i = 0; i < GaussLegendre::kPoints; ++i) {
+      sum += rule.weight[i] * integrand(mid + half * rule.node[i]);
+    }
+    return half * sum;
+  };
+  long double first = delta;
+  while (first * (mu + omega) > 0.1L) first *= 0.5L;
+  long double numerator = panel(0.0L, first);
+  for (long double a = first; a < delta; a *= 2.0L) {
+    numerator += panel(a, std::min(2.0L * a, delta));
   }
-  if (denominator <= 1e-300) return delta;
-  return numerator / denominator;
+  return numerator / -std::expm1(-c * -std::expm1(-omega * delta));
 }
 
-TEST(SimpsonDelayGrid, BitIdenticalToPerPointLoop) {
-  // Log sweeps over μ, ω and Δ. ω down to 1e-12 keeps ωτ < 1e-8 at every
-  // point (the series branch), ω near 1e-9 mixes both branches, μ down to
-  // 1e-310 starves the density below 1e-300 (the horizon fallback), and
-  // Δ = 0 collapses the grid. One grid serves the whole sweep, so every
-  // (ω, Δ) change must rebuild it.
-  SimpsonDelayGrid grid;
-  int series_only = 0, fallbacks = 0, checked = 0;
-  for (double log_omega = -12.0; log_omega <= 3.0; log_omega += 0.5) {
-    const double omega = std::pow(10.0, log_omega);
-    for (const double delta :
-         {0.0, 1e-3, 0.37, 1.0, 24.0, 200.0, 1500.0, 1e4}) {
-      grid.build(omega, delta);
-      if (omega * delta < 1e-8) ++series_only;
-      for (double log_mu = -310.0; log_mu <= 6.0; log_mu += 7.0) {
-        const double mu = std::pow(10.0, log_mu);
-        const double expected = reference_conditional_delay(mu, omega, delta);
-        const double actual = grid.eval(mu);
-        ASSERT_TRUE(same_bits(actual, expected))
-            << "mu=" << mu << " omega=" << omega << " delta=" << delta
-            << " got " << actual << " want " << expected;
-        if (delta > 0.0 && expected == delta) ++fallbacks;
-        ++checked;
+void expect_matches_reference(double mu, double omega, double delta) {
+  const long double expected = reference_conditional_delay(mu, omega, delta);
+  const double actual = conditional_delay(mu, omega, delta);
+  const double error =
+      static_cast<double>(std::fabs((actual - expected) / expected));
+  EXPECT_LT(error, 1e-9) << "mu=" << mu << " omega=" << omega
+                         << " delta=" << delta << " got " << actual
+                         << " want " << static_cast<double>(expected);
+}
+
+TEST(ConditionalDelay, MatchesQuadratureOnLogGrid) {
+  // μ 1e-6..1e3, ω 1e-4..1e2 and Δ 1e-3..1e3 in half-decade steps: c = μ/ω
+  // spans 1e-8..1e7 and ωΔ 1e-7..1e5, which reaches every evaluation form.
+  for (double log_mu = -6.0; log_mu <= 3.0; log_mu += 0.5) {
+    for (double log_omega = -4.0; log_omega <= 2.0; log_omega += 0.5) {
+      for (double log_delta = -3.0; log_delta <= 3.0; log_delta += 0.5) {
+        expect_matches_reference(std::pow(10.0, log_mu),
+                                 std::pow(10.0, log_omega),
+                                 std::pow(10.0, log_delta));
       }
     }
   }
-  EXPECT_GT(series_only, 0);
-  EXPECT_GT(fallbacks, 0);
-  EXPECT_GT(checked, 10000);
+}
+
+TEST(ConditionalDelay, MatchesQuadratureAtRandomPoints) {
+  util::Rng rng(2019);
+  for (int i = 0; i < 10000; ++i) {
+    const double mu = std::pow(10.0, rng.uniform(-6.0, 3.0));
+    const double omega = std::pow(10.0, rng.uniform(-4.0, 2.0));
+    const double delta = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    expect_matches_reference(mu, omega, delta);
+    if (HasFailure()) break;
+  }
+}
+
+TEST(ConditionalDelay, ShapeAndLimits) {
+  // The density λe^{−Λ} decreases in τ, so the conditional mean sits in
+  // [0, Δ/2]; a larger excitation pulls it earlier. μ down to the
+  // subnormal range and ωΔ up to 1e5 must stay finite.
+  const double slack = 1.0 + 1e-12;
+  for (const double omega : {1e-4, 1e-2, 1.0, 1e2}) {
+    for (const double x : {1e-12, 1e-6, 0.3, 0.5, 2.0, 50.0, 800.0, 1e5}) {
+      const double delta = x / omega;
+      EXPECT_EQ(conditional_delay(1.0, omega, 0.0), 0.0);
+      double previous = 0.5 * delta;
+      for (double log_mu = -310.0; log_mu <= 8.0; log_mu += 0.25) {
+        const double mu = std::pow(10.0, log_mu);
+        const double r = conditional_delay(mu, omega, delta);
+        ASSERT_TRUE(std::isfinite(r))
+            << "mu=" << mu << " omega=" << omega << " delta=" << delta;
+        EXPECT_GE(r, 0.0);
+        EXPECT_LE(r, 0.5 * delta * slack)
+            << "mu=" << mu << " omega=" << omega << " delta=" << delta;
+        EXPECT_LE(r, previous * slack)
+            << "mu=" << mu << " omega=" << omega << " delta=" << delta;
+        previous = r;
+      }
+    }
+  }
+  // Λ underflows: the rate-ω exponential's conditional mean, Δ/2 as x → 0.
+  const double x = 3.0, omega = 0.5;
+  EXPECT_DOUBLE_EQ(conditional_delay(1e-310, omega, x / omega),
+                   (1.0 - (1.0 + x) * std::exp(-x)) / (omega * -std::expm1(-x)));
+  EXPECT_NEAR(conditional_delay(1e-3, 1.0, 1e-9),
+              0.5e-9 * (1.0 - 1.001e-9 / 6.0), 1e-24);
+}
+
+TEST(SurvivalIntegral, MatchesLongDoubleQuadrature) {
+  // A(ω) = ∫₀^Δ e^{−ωτ} dτ and dA/dω = −∫₀^Δ τe^{−ωτ} dτ by Gauss–Legendre
+  // panels of unit width in ωτ, in long double. Small ωΔ is where a naive
+  // 1 − e^{−x} or the difference form of the derivative cancels.
+  const GaussLegendre& rule = gauss_legendre();
+  const double omega = 0.7;
+  for (const double x : {1.1e-6, 1e-5, 1e-3, 1.0, 50.0}) {
+    const double delta = x / omega;
+    const int panels = std::max(1, static_cast<int>(std::ceil(x)));
+    const long double width = static_cast<long double>(delta) / panels;
+    long double area = 0.0L, moment = 0.0L;
+    for (int p = 0; p < panels; ++p) {
+      const long double mid = (p + 0.5L) * width;
+      for (int i = 0; i < GaussLegendre::kPoints; ++i) {
+        const long double tau = mid + 0.5L * width * rule.node[i];
+        const long double w = 0.5L * width * rule.weight[i];
+        const long double decay = std::exp(-static_cast<long double>(omega) * tau);
+        area += w * decay;
+        moment += w * tau * decay;
+      }
+    }
+    const double a = survival_integral(omega, delta);
+    const double da = survival_integral_domega(omega, delta);
+    EXPECT_LT(std::fabs((a - area) / area), 1e-12) << "x=" << x;
+    EXPECT_LT(std::fabs((da + moment) / moment), 1e-12) << "x=" << x;
+  }
 }
 
 TEST(TimingPredictor, DeterministicForSeed) {

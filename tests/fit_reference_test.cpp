@@ -141,19 +141,10 @@ TEST(FitReferenceVote, MatchesPerSampleReferenceBitwise) {
 constexpr double kMuFloor = 1e-6;
 constexpr double kOmegaFloor = 1e-4;
 
-// A(ω) = (1 − e^{−ωΔ})/ω and dA/dω, series-expanded for small ωΔ.
-double survival_integral(double omega, double delta) {
-  const double x = omega * delta;
-  if (x < 1e-8) return delta * (1.0 - 0.5 * x);
-  return (1.0 - std::exp(-x)) / omega;
-}
-
-double survival_integral_domega(double omega, double delta) {
-  const double x = omega * delta;
-  if (x < 1e-6) return -0.5 * delta * delta;
-  const double e = std::exp(-x);
-  return (delta * e) / omega - (1.0 - e) / (omega * omega);
-}
+// A(ω) = (1 − e^{−ωΔ})/ω and dA/dω: the library's helpers, which
+// SurvivalIntegral.MatchesLongDoubleQuadrature pins to a reference.
+using core::survival_integral;
+using core::survival_integral_domega;
 
 struct TimingReference {
   std::unique_ptr<ml::Mlp> f_net;

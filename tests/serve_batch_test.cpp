@@ -231,9 +231,9 @@ TEST(BatchScorer, RefitInvalidatesCache) {
 }
 
 TEST(BatchScorer, ConstantOmegaBitIdenticalToScalarPredict) {
-  // Constant ω (the paper's best Stack Overflow variant): the timing head
-  // shares one Simpson grid across every row of a block, where the scalar
-  // path builds its own per pair.
+  // Constant ω (the paper's best Stack Overflow variant): every row of a
+  // block shares one decay, so the timing head's per-row estimator sees the
+  // same (ω, Δ) the scalar path evaluates one pair at a time.
   forum::GeneratorConfig gen;
   gen.num_users = 120;
   gen.num_questions = 120;

@@ -249,7 +249,7 @@ for name, rate in sorted(rates.items()):
         sys.exit(f"bench regression: {name} reported no throughput")
 PY
 
-echo "== regression guard: batch vs scalar pairs/sec at 256 candidates"
+echo "== regression guard: batch vs scalar pairs/sec at 256 candidates (+ timing head report)"
 python3 - "$OUT_DIR/BENCH_serve.json" "$MIN_SPEEDUP" <<'PY'
 import json
 import sys
@@ -272,6 +272,11 @@ if not scalar or not batch:
 speedup = batch / scalar
 print(f"scalar: {scalar:,.0f} pairs/sec")
 print(f"batch:  {batch:,.0f} pairs/sec")
+# The timing head alone (rate networks + conditional-delay estimator), at
+# constant and learned omega: a report beside the guard, never gated.
+for name, rate in sorted(rates.items()):
+    if name.startswith("BM_TimingDelayBatch/"):
+        print(f"timing head {name.split('/', 1)[1]}: {rate:,.0f} rows/sec")
 print(f"speedup: {speedup:.2f}x (required >= {min_speedup:.2f}x)")
 if speedup < min_speedup:
     sys.exit(f"bench regression: batch/scalar speedup {speedup:.2f}x "
