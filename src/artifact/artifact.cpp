@@ -70,10 +70,6 @@ void Encoder::u64(std::uint64_t value) {
   append_raw(buffer_, bytes, sizeof(bytes));
 }
 
-void Encoder::i64(std::int64_t value) {
-  u64(static_cast<std::uint64_t>(value));
-}
-
 void Encoder::f64(double value, const char* field) {
   FORUMCAST_CHECK_MSG(std::isfinite(value),
                       "model bundle: refusing to encode non-finite value in '"
@@ -147,10 +143,6 @@ std::uint64_t Decoder::u64(const char* field) {
   std::uint64_t value = 0;
   for (int i = 0; i < 8; ++i) value |= std::uint64_t{bytes[i]} << (8 * i);
   return value;
-}
-
-std::int64_t Decoder::i64(const char* field) {
-  return static_cast<std::int64_t>(u64(field));
 }
 
 bool Decoder::boolean(const char* field) {

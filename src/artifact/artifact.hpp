@@ -66,7 +66,6 @@ class Encoder {
   void u8(std::uint8_t value);
   void u32(std::uint32_t value);
   void u64(std::uint64_t value);
-  void i64(std::int64_t value);
   void boolean(bool value) { u8(value ? 1 : 0); }
   /// Raw IEEE bits: round-trip exact for every value including -0.0 and
   /// denormals. Save-side guard: non-finite values throw (a model holding
@@ -96,7 +95,6 @@ class Decoder {
   std::uint8_t u8(const char* field);
   std::uint32_t u32(const char* field);
   std::uint64_t u64(const char* field);
-  std::int64_t i64(const char* field);
   bool boolean(const char* field);
   /// Rejects NaN/Inf with the field named; bit-exact otherwise.
   double f64(const char* field);

@@ -54,16 +54,6 @@ double rmse(std::span<const double> predictions, std::span<const double> targets
   return std::sqrt(accum / static_cast<double>(predictions.size()));
 }
 
-double mae(std::span<const double> predictions, std::span<const double> targets) {
-  FORUMCAST_CHECK(predictions.size() == targets.size());
-  FORUMCAST_CHECK(!predictions.empty());
-  double accum = 0.0;
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
-    accum += std::abs(predictions[i] - targets[i]);
-  }
-  return accum / static_cast<double>(predictions.size());
-}
-
 double improvement_percent(double baseline, double ours, bool higher_is_better) {
   FORUMCAST_CHECK(baseline != 0.0);
   const double delta = higher_is_better ? ours - baseline : baseline - ours;

@@ -14,9 +14,6 @@ double auc(std::span<const double> scores, std::span<const int> labels);
 /// Root mean squared error; spans must be the same non-zero length.
 double rmse(std::span<const double> predictions, std::span<const double> targets);
 
-/// Mean absolute error.
-double mae(std::span<const double> predictions, std::span<const double> targets);
-
 /// Relative improvement of `ours` over `baseline` in percent, oriented so
 /// positive = better: for error metrics (RMSE) pass higher_is_better=false,
 /// for AUC pass true.

@@ -34,19 +34,6 @@ double precision_at_k(std::span<const double> scores,
   return static_cast<double>(hits) / static_cast<double>(depth);
 }
 
-double recall_at_k(std::span<const double> scores, std::span<const int> labels,
-                   std::size_t k) {
-  FORUMCAST_CHECK(k >= 1);
-  const auto order = ranking_order(scores, labels);
-  const std::size_t relevant = static_cast<std::size_t>(
-      std::count(labels.begin(), labels.end(), 1));
-  if (relevant == 0) return 0.0;
-  const std::size_t depth = std::min(k, order.size());
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < depth; ++i) hits += labels[order[i]];
-  return static_cast<double>(hits) / static_cast<double>(relevant);
-}
-
 double reciprocal_rank(std::span<const double> scores,
                        std::span<const int> labels) {
   const auto order = ranking_order(scores, labels);

@@ -2,7 +2,7 @@
 //
 // The recommender consumes the predictors as a *ranking* over candidate
 // answerers per question, so besides the paper's pairwise AUC we evaluate
-// precision@k / recall@k / MRR / nDCG of the induced rankings. These power
+// precision@k / MRR / nDCG of the induced rankings. These power
 // the extension bench `bench/ranking`.
 #pragma once
 
@@ -16,11 +16,6 @@ namespace forumcast::eval {
 /// one item.
 double precision_at_k(std::span<const double> scores,
                       std::span<const int> labels, std::size_t k);
-
-/// Fraction of all relevant items that appear in the top k. 0 if there are
-/// no relevant items.
-double recall_at_k(std::span<const double> scores, std::span<const int> labels,
-                   std::size_t k);
 
 /// Reciprocal rank of the first relevant item; 0 if none.
 double reciprocal_rank(std::span<const double> scores,

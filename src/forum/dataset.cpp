@@ -108,15 +108,6 @@ DatasetStats Dataset::stats() const {
   return stats;
 }
 
-std::vector<QuestionId> Dataset::questions_chronological() const {
-  std::vector<QuestionId> order(threads_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<QuestionId>(i);
-  std::sort(order.begin(), order.end(), [&](QuestionId a, QuestionId b) {
-    return threads_[a].question.timestamp_hours < threads_[b].question.timestamp_hours;
-  });
-  return order;
-}
-
 std::vector<QuestionId> Dataset::questions_in_days(int first_day, int last_day) const {
   FORUMCAST_CHECK(first_day >= 1 && first_day <= last_day);
   const double lo = static_cast<double>(first_day - 1) * 24.0;

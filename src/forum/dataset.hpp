@@ -55,10 +55,6 @@ class Dataset {
 
   DatasetStats stats() const;
 
-  /// Question ids sorted by question timestamp (the chronological order the
-  /// paper uses for F(q) = {q' : q' ≤ q}).
-  std::vector<QuestionId> questions_chronological() const;
-
   /// Question ids whose question timestamp lies in day ∈ [first_day, last_day]
   /// (1-based days of the 30-day collection window, inclusive).
   std::vector<QuestionId> questions_in_days(int first_day, int last_day) const;

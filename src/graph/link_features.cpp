@@ -1,16 +1,13 @@
 #include "graph/link_features.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace forumcast::graph {
 
-namespace {
-// Applies `fn` to each common neighbor of u and v (adjacency lists are sorted).
-template <typename Fn>
-void for_each_common_neighbor(const Graph& graph, NodeId u, NodeId v, Fn&& fn) {
+double resource_allocation_index(const Graph& graph, NodeId u, NodeId v) {
+  // Merge-walk the sorted adjacency lists; each common neighbor n adds
+  // 1/|Γ(n)|.
   const auto a = graph.neighbors(u);
   const auto b = graph.neighbors(v);
+  double index = 0.0;
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -18,48 +15,13 @@ void for_each_common_neighbor(const Graph& graph, NodeId u, NodeId v, Fn&& fn) {
     } else if (b[j] < a[i]) {
       ++j;
     } else {
-      fn(a[i]);
+      const auto deg = graph.degree(a[i]);
+      if (deg > 0) index += 1.0 / static_cast<double>(deg);
       ++i;
       ++j;
     }
   }
-}
-}  // namespace
-
-double resource_allocation_index(const Graph& graph, NodeId u, NodeId v) {
-  double index = 0.0;
-  for_each_common_neighbor(graph, u, v, [&](NodeId n) {
-    const auto deg = graph.degree(n);
-    if (deg > 0) index += 1.0 / static_cast<double>(deg);
-  });
   return index;
-}
-
-std::size_t common_neighbor_count(const Graph& graph, NodeId u, NodeId v) {
-  std::size_t count = 0;
-  for_each_common_neighbor(graph, u, v, [&](NodeId) { ++count; });
-  return count;
-}
-
-double jaccard_coefficient(const Graph& graph, NodeId u, NodeId v) {
-  const std::size_t common = common_neighbor_count(graph, u, v);
-  const std::size_t total = graph.degree(u) + graph.degree(v) - common;
-  if (total == 0) return 0.0;
-  return static_cast<double>(common) / static_cast<double>(total);
-}
-
-double adamic_adar_index(const Graph& graph, NodeId u, NodeId v) {
-  double index = 0.0;
-  for_each_common_neighbor(graph, u, v, [&](NodeId n) {
-    const auto deg = graph.degree(n);
-    if (deg > 1) index += 1.0 / std::log(static_cast<double>(deg));
-  });
-  return index;
-}
-
-double preferential_attachment(const Graph& graph, NodeId u, NodeId v) {
-  return static_cast<double>(graph.degree(u)) *
-         static_cast<double>(graph.degree(v));
 }
 
 }  // namespace forumcast::graph

@@ -1,4 +1,5 @@
-// Pairwise topological link features (Sec. II-B xvii/xx).
+// Pairwise topological link feature (Sec. II-B xx): the resource-allocation
+// index between a candidate answerer and the asker in an SLN graph.
 #pragma once
 
 #include "graph/graph.hpp"
@@ -8,18 +9,5 @@ namespace forumcast::graph {
 /// Resource allocation index Re_{u,v} = Σ_{n ∈ Γ(u) ∩ Γ(v)} 1/|Γ(n)|.
 /// Zero when u and v share no neighbors (including the isolated case).
 double resource_allocation_index(const Graph& graph, NodeId u, NodeId v);
-
-/// Number of common neighbors |Γ(u) ∩ Γ(v)| (used in tests and analytics).
-std::size_t common_neighbor_count(const Graph& graph, NodeId u, NodeId v);
-
-/// Jaccard coefficient |Γ(u) ∩ Γ(v)| / |Γ(u) ∪ Γ(v)| (0 when both isolated).
-double jaccard_coefficient(const Graph& graph, NodeId u, NodeId v);
-
-/// Adamic–Adar index Σ_{n ∈ Γ(u) ∩ Γ(v)} 1/log|Γ(n)| (degree-1 common
-/// neighbors are skipped — their log degree is 0).
-double adamic_adar_index(const Graph& graph, NodeId u, NodeId v);
-
-/// Preferential attachment score |Γ(u)| · |Γ(v)|.
-double preferential_attachment(const Graph& graph, NodeId u, NodeId v);
 
 }  // namespace forumcast::graph

@@ -1,7 +1,6 @@
 #include "ml/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 #ifdef __FMA__
 #include <immintrin.h>
 #endif
@@ -24,11 +23,6 @@ double& Matrix::operator()(std::size_t r, std::size_t c) {
   return storage_[r * cols_ + c];
 }
 
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  FORUMCAST_CHECK(r < rows_ && c < cols_);
-  return storage_[r * cols_ + c];
-}
-
 std::span<double> Matrix::row(std::size_t r) {
   FORUMCAST_CHECK(r < rows_);
   return std::span<double>(storage_).subspan(r * cols_, cols_);
@@ -37,54 +31,6 @@ std::span<double> Matrix::row(std::size_t r) {
 std::span<const double> Matrix::row(std::size_t r) const {
   FORUMCAST_CHECK(r < rows_);
   return std::span<const double>(storage_).subspan(r * cols_, cols_);
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> x) const {
-  FORUMCAST_CHECK(x.size() == cols_);
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = storage_.data() + r * cols_;
-    double accum = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) accum += row_ptr[c] * x[c];
-    y[r] = accum;
-  }
-  return y;
-}
-
-std::vector<double> Matrix::multiply_transposed(std::span<const double> x) const {
-  FORUMCAST_CHECK(x.size() == rows_);
-  std::vector<double> y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = storage_.data() + r * cols_;
-    const double xr = x[r];
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += row_ptr[c] * xr;
-  }
-  return y;
-}
-
-Matrix Matrix::matmul(const Matrix& other) const {
-  FORUMCAST_CHECK(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      const double* b_row = other.storage_.data() + k * other.cols_;
-      double* out_row = out.storage_.data() + r * other.cols_;
-      for (std::size_t c = 0; c < other.cols_; ++c) out_row[c] += a * b_row[c];
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::matmul_nt(const Matrix& other, std::span<const double> bias) const {
-  FORUMCAST_CHECK(cols_ == other.cols_);
-  if (!bias.empty()) FORUMCAST_CHECK(bias.size() == other.rows_);
-  Matrix out(rows_, other.rows_);
-  gemm_nt(rows_, other.rows_, cols_, storage_.data(), cols_,
-          other.storage_.data(), other.cols_, bias.empty() ? nullptr : bias.data(),
-          out.storage_.data(), out.cols_);
-  return out;
 }
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -298,29 +244,6 @@ void gemm_tn_accumulate(std::size_t k, std::size_t n, std::size_t m,
   }
 }
 
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  }
-  return out;
-}
-
-void Matrix::fill(double value) { std::fill(storage_.begin(), storage_.end(), value); }
-
-void Matrix::add_scaled(const Matrix& other, double scale) {
-  FORUMCAST_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  for (std::size_t i = 0; i < storage_.size(); ++i) {
-    storage_[i] += scale * other.storage_[i];
-  }
-}
-
-double Matrix::frobenius_norm() const {
-  double accum = 0.0;
-  for (double v : storage_) accum += v * v;
-  return std::sqrt(accum);
-}
-
 void accumulate_weighted_rows(std::span<const double* const> rows,
                               std::span<const double> errs,
                               std::span<double> grads) {
@@ -337,31 +260,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   double accum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) accum += a[i] * b[i];
   return accum;
-}
-
-void axpy(std::span<double> a, std::span<const double> b, double scale) {
-  FORUMCAST_CHECK(a.size() == b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += scale * b[i];
-}
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-void gemm_nt(Tensor<const double> a, Tensor<const double> b,
-             std::span<const double> bias, Tensor<double> c) {
-  FORUMCAST_CHECK(a.cols() == b.cols());
-  FORUMCAST_CHECK(c.rows() == a.rows() && c.cols() == b.rows());
-  FORUMCAST_CHECK(bias.empty() || bias.size() == b.rows());
-  gemm_nt(a.rows(), b.rows(), a.cols(), a.data(), a.stride(), b.data(),
-          b.stride(), bias.empty() ? nullptr : bias.data(), c.data(),
-          c.stride());
-}
-
-void gemm_tn_accumulate(Tensor<const double> a, Tensor<const double> b,
-                        Tensor<double> c) {
-  FORUMCAST_CHECK(a.rows() == b.rows());
-  FORUMCAST_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
-  gemm_tn_accumulate(a.rows(), a.cols(), b.cols(), a.data(), a.stride(),
-                     b.data(), b.stride(), c.data(), c.stride());
 }
 
 }  // namespace forumcast::ml

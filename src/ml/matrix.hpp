@@ -21,7 +21,6 @@ class Matrix {
   std::size_t cols() const { return cols_; }
 
   double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
 
   /// Mutable view of row r.
   std::span<double> row(std::size_t r);
@@ -38,39 +37,11 @@ class Matrix {
     return Tensor<const double>(storage_.data(), rows_, cols_);
   }
 
-  /// y = A x. Requires x.size() == cols(); returns vector of size rows().
-  std::vector<double> multiply(std::span<const double> x) const;
-
-  /// y = A^T x. Requires x.size() == rows(); returns vector of size cols().
-  std::vector<double> multiply_transposed(std::span<const double> x) const;
-
-  /// C = A * B. Requires cols() == other.rows().
-  Matrix matmul(const Matrix& other) const;
-
-  /// C = A * B^T (+ optional per-column bias). Requires cols() == other.cols().
-  /// This is the batched-inference product: A holds N samples row-major and B
-  /// holds M weight rows, so both operands stream contiguously. Backed by the
-  /// blocked gemm_nt kernel below; accumulation order per output element
-  /// matches the scalar dot-product loop, so results are bit-identical to
-  /// per-row multiply().
-  Matrix matmul_nt(const Matrix& other,
-                   std::span<const double> bias = {}) const;
-
-  Matrix transposed() const;
-
   /// Reshapes to rows × cols, reusing the existing allocation when its
   /// capacity allows. Element values are unspecified afterwards — this is for
   /// scratch buffers whose every element is overwritten before being read
   /// (e.g. gemm_nt outputs, which are seeded with the bias).
   void resize(std::size_t rows, std::size_t cols);
-
-  void fill(double value);
-
-  /// this += scale * other (same shape required).
-  void add_scaled(const Matrix& other, double scale);
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
  private:
   std::size_t rows_ = 0;
@@ -133,16 +104,6 @@ void gemm_tn_accumulate(std::size_t k, std::size_t n, std::size_t m,
                         const double* a, std::size_t lda, const double* b,
                         std::size_t ldb, double* c, std::size_t ldc);
 
-/// Tensor-view front ends for the kernels above: shapes and strides come
-/// from the views, arithmetic is byte-for-byte the raw-pointer kernel.
-/// gemm_nt: c(n×m) = a(n×k) · b(m×k)^T (+ bias when non-empty).
-void gemm_nt(Tensor<const double> a, Tensor<const double> b,
-             std::span<const double> bias, Tensor<double> c);
-
-/// gemm_tn_accumulate: c(n×m) += a(k×n)^T · b(k×m).
-void gemm_tn_accumulate(Tensor<const double> a, Tensor<const double> b,
-                        Tensor<double> c);
-
 /// Gradient accumulation for the linear models: grads[c] +=
 /// Σ_k errs[k] · rows[k][c] for every column c, samples in order (k
 /// ascending), each row holding at least grads.size() columns.
@@ -152,11 +113,5 @@ void accumulate_weighted_rows(std::span<const double* const> rows,
 
 /// Dot product; sizes must match.
 double dot(std::span<const double> a, std::span<const double> b);
-
-/// a += scale * b (in place); sizes must match.
-void axpy(std::span<double> a, std::span<const double> b, double scale);
-
-/// Euclidean norm.
-double norm2(std::span<const double> a);
 
 }  // namespace forumcast::ml

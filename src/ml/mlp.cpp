@@ -46,17 +46,6 @@ std::size_t Mlp::max_units() const {
   return m;
 }
 
-Tensor<const double> Mlp::weights(std::size_t layer) const {
-  FORUMCAST_CHECK(layer < layers_.size());
-  return Tensor<const double>(params_.data() + weight_offset_[layer],
-                              layers_[layer].units, fan_in(layer));
-}
-
-std::span<const double> Mlp::bias(std::size_t layer) const {
-  FORUMCAST_CHECK(layer < layers_.size());
-  return {params_.data() + bias_offset_[layer], layers_[layer].units};
-}
-
 // ---------------------------------------------------------------------------
 // Tape: flat per-layer activation views.
 

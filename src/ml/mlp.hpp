@@ -140,11 +140,6 @@ class Mlp {
   std::span<const double> grads() const { return grads_; }
   std::size_t param_count() const { return params_.size(); }
 
-  /// Weight matrix of layer l: units(l) rows × fan_in(l) cols, row-major.
-  Tensor<const double> weights(std::size_t layer) const;
-  /// Bias vector of layer l.
-  std::span<const double> bias(std::size_t layer) const;
-
  private:
   // Weight matrix of layer l is rows=units(l), cols=fan_in(l), stored row-major
   // at weight_offset_[l]; bias vector follows at bias_offset_[l].

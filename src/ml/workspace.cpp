@@ -48,14 +48,6 @@ std::size_t Workspace::reserved_bytes() const {
   return total;
 }
 
-std::size_t Workspace::total_reserved_bytes() {
-  return g_total_bytes.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Workspace::total_resets() {
-  return g_total_resets.load(std::memory_order_relaxed);
-}
-
 void Workspace::add_chunk(std::size_t min_size) {
   // Geometric growth keeps the chunk count logarithmic on the way up to the
   // high-water mark; after the first coalesce the arena is single-chunk.

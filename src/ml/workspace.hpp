@@ -103,12 +103,6 @@ class Workspace {
   std::size_t chunk_count() const { return chunks_.size(); }
   std::size_t frame_depth() const { return depth_; }
 
-  /// Process-wide totals behind the ml.workspace_bytes / ml.workspace_resets
-  /// gauges: bytes reserved across all live thread arenas, and the number of
-  /// outermost-frame closes (each one an arena reuse cycle).
-  static std::size_t total_reserved_bytes();
-  static std::uint64_t total_resets();
-
  private:
   struct Chunk {
     std::byte* data = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <thread>
@@ -52,56 +51,6 @@ double process_max_rss_bytes() {
   }
 #endif
   return 0.0;
-}
-
-// Prometheus metric names are `[a-zA-Z_:][a-zA-Z0-9_:]*`; this codebase also
-// uses dotted names throughout (test expectations depend on them surviving
-// exposition verbatim), so `.` is kept and everything else outside the spec
-// charset collapses to `_`. This guarantees a hostile registration can never
-// smuggle a space, quote, or newline into the line-oriented text format.
-std::string sanitize_metric_name(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':' || c == '.';
-    if (!ok) c = '_';
-  }
-  if (out.empty()) out = "_";
-  return out;
-}
-
-// HELP text escaping per the exposition-format spec: backslash and newline.
-void append_escaped_help(std::string& out, const std::string& help) {
-  for (char c : help) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-}
-
-// Label-value escaping: backslash, double-quote, and newline.
-void append_escaped_label_value(std::string& out, const std::string& value) {
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-}
-
-void append_help_line(std::string& out,
-                      const std::map<std::string, std::string>& help,
-                      const std::string& raw_name,
-                      const std::string& exposition_name) {
-  const auto it = help.find(raw_name);
-  if (it == help.end()) return;
-  out += "# HELP " + exposition_name + " ";
-  append_escaped_help(out, it->second);
-  out.push_back('\n');
 }
 
 }  // namespace
@@ -195,15 +144,6 @@ MetricsRegistry::MetricsRegistry() {
   process_epoch();  // pin the uptime epoch at construction
   gauges_["process.uptime_seconds"] = std::make_unique<Gauge>();
   gauges_["process.max_rss_bytes"] = std::make_unique<Gauge>();
-  helps_["process.uptime_seconds"] =
-      "Seconds since the metrics registry was created (steady clock).";
-  helps_["process.max_rss_bytes"] =
-      "Peak resident set size of the process in bytes, from getrusage.";
-}
-
-void MetricsRegistry::set_help(const std::string& name, std::string help) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  helps_[name] = std::move(help);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
@@ -242,7 +182,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   if (auto it = gauges_.find("process.max_rss_bytes"); it != gauges_.end()) {
     it->second->set(max_rss);
   }
-  snap.help = helps_;
   for (const auto& [name, counter] : counters_) {
     snap.counters.emplace_back(name, counter->value());
   }
@@ -304,42 +243,6 @@ std::string MetricsRegistry::Snapshot::to_json() const {
     out.push_back('}');
   }
   out += "}}";
-  return out;
-}
-
-std::string MetricsRegistry::Snapshot::to_text() const {
-  std::string out;
-  char buffer[64];
-  for (const auto& [name, value] : counters) {
-    const std::string exposed = sanitize_metric_name(name);
-    append_help_line(out, help, name, exposed);
-    out += exposed + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : gauges) {
-    const std::string exposed = sanitize_metric_name(name);
-    append_help_line(out, help, name, exposed);
-    std::snprintf(buffer, sizeof buffer, "%.12g", value);
-    out += exposed + " " + buffer + "\n";
-  }
-  for (const auto& [name, hist] : histograms) {
-    const std::string exposed = sanitize_metric_name(name);
-    append_help_line(out, help, name, exposed);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < hist.counts.size(); ++b) {
-      cumulative += hist.counts[b];
-      out += exposed + "_bucket{le=\"";
-      if (b < hist.upper_bounds.size()) {
-        std::snprintf(buffer, sizeof buffer, "%.12g", hist.upper_bounds[b]);
-        append_escaped_label_value(out, buffer);
-      } else {
-        out += "+Inf";
-      }
-      out += "\"} " + std::to_string(cumulative) + "\n";
-    }
-    std::snprintf(buffer, sizeof buffer, "%.12g", hist.sum);
-    out += exposed + "_sum " + buffer + "\n";
-    out += exposed + "_count " + std::to_string(hist.total_count) + "\n";
-  }
   return out;
 }
 

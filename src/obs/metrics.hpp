@@ -110,24 +110,12 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::vector<double> upper_bounds);
 
-  /// Attaches exposition help text to a metric name. Emitted as a `# HELP`
-  /// line by Snapshot::to_text() with `\` and newlines escaped per the
-  /// Prometheus exposition-format spec.
-  void set_help(const std::string& name, std::string help);
-
   struct Snapshot {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
-    std::map<std::string, std::string> help;
 
     std::string to_json() const;
-    /// Prometheus-style text exposition (`name value`, `name_bucket{le=..}`,
-    /// `# HELP` lines where help text was registered). Metric names are
-    /// sanitized to the spec's charset (plus the `.` this codebase uses)
-    /// and HELP strings / label values are backslash-escaped, so a hostile
-    /// metric name can never break the line-oriented framing.
-    std::string to_text() const;
   };
   /// Also refreshes the process self-metrics (`process.uptime_seconds`,
   /// `process.max_rss_bytes` via getrusage) so every snapshot is
@@ -142,7 +130,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::string> helps_;
 };
 
 }  // namespace forumcast::obs

@@ -287,10 +287,6 @@ void QualityMonitor::export_metrics_locked(const MonitorReport& report) {
       .set(static_cast<double>(report.predictions_recorded));
   registry.gauge("monitor.outcomes_joined")
       .set(static_cast<double>(report.outcomes_joined));
-  registry.set_help("monitor.refit_recommended",
-                    "1 when a refit-trigger SLO (auc_min, psi_max) is in "
-                    "breach: the designed trip wire for the periodic "
-                    "refit-plus-hot-swap loop.");
 }
 
 std::string MonitorReport::to_string() const {

@@ -103,19 +103,6 @@ std::optional<double> CalibrationHistogram::ece() const {
   return ece;
 }
 
-std::optional<double> CalibrationHistogram::mean_predicted(
-    std::size_t decile) const {
-  if (counts_[decile] == 0) return std::nullopt;
-  return predicted_sum_[decile] / static_cast<double>(counts_[decile]);
-}
-
-std::optional<double> CalibrationHistogram::positive_fraction(
-    std::size_t decile) const {
-  if (counts_[decile] == 0) return std::nullopt;
-  return static_cast<double>(positives_[decile]) /
-         static_cast<double>(counts_[decile]);
-}
-
 double timing_log_likelihood(double predicted_delay_hours,
                              double realized_delay_hours) {
   const double rate = 1.0 / std::max(predicted_delay_hours, 1e-3);

@@ -74,9 +74,6 @@ class CalibrationHistogram {
   std::optional<double> ece() const;
   std::uint64_t count(std::size_t decile) const { return counts_[decile]; }
   std::uint64_t total() const { return total_; }
-  /// Mean predicted probability / positive fraction for one decile.
-  std::optional<double> mean_predicted(std::size_t decile) const;
-  std::optional<double> positive_fraction(std::size_t decile) const;
 
  private:
   std::array<std::uint64_t, kDeciles> counts_{};

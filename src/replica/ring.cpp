@@ -70,8 +70,4 @@ const std::string& Ring::owner(forum::UserId user) const {
   return it == points_.end() ? points_.begin()->second : it->second;
 }
 
-std::vector<std::string> Ring::nodes() const {
-  return std::vector<std::string>(nodes_.begin(), nodes_.end());
-}
-
 }  // namespace forumcast::replica

@@ -23,7 +23,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "forum/post.hpp"
 
@@ -45,8 +44,6 @@ class Ring {
 
   std::size_t num_nodes() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
-  /// Member names in sorted order.
-  std::vector<std::string> nodes() const;
 
   /// The ring position a user id hashes to (exposed for balance tests).
   static std::uint64_t key_point(forum::UserId user);

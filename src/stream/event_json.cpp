@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -131,11 +132,17 @@ class FlatJsonScanner {
   std::size_t pos_ = 0;
 };
 
-std::int64_t as_integer(double value, const char* key) {
-  const double rounded = std::nearbyint(value);
-  FORUMCAST_CHECK_MSG(rounded == value, std::string("event field '") + key +
-                                            "' must be an integer");
-  return static_cast<std::int64_t>(rounded);
+// A whole number that fits T: "user":4294967297 is rejected, not wrapped to
+// user 1, and an out-of-range double is never cast.
+template <typename T>
+T as_integer(double value, const char* key) {
+  using limits = std::numeric_limits<T>;
+  FORUMCAST_CHECK_MSG(
+      std::nearbyint(value) == value &&
+          value >= static_cast<double>(limits::min()) &&
+          value < static_cast<double>(limits::max()) + 1.0,
+      std::string("event field '") + key + "' must be an integer in range");
+  return static_cast<T>(value);
 }
 
 }  // namespace
@@ -161,27 +168,27 @@ ForumEvent parse_event_json(std::string_view line) {
         event.body = scanner.parse_string();
       } else if (key == "time") {
         event.timestamp_hours = scanner.parse_number();
+        FORUMCAST_CHECK_MSG(std::isfinite(event.timestamp_hours),
+                            "event field 'time' must be finite");
         saw_time = true;
       } else if (key == "seq") {
-        event.seq = static_cast<std::uint64_t>(
-            as_integer(scanner.parse_number(), "seq"));
+        event.seq = as_integer<std::uint64_t>(scanner.parse_number(), "seq");
       } else if (key == "user") {
-        event.user = static_cast<forum::UserId>(
-            as_integer(scanner.parse_number(), "user"));
+        event.user = as_integer<forum::UserId>(scanner.parse_number(), "user");
         saw_user = true;
       } else if (key == "question") {
-        event.question = static_cast<forum::QuestionId>(
-            as_integer(scanner.parse_number(), "question"));
+        event.question =
+            as_integer<forum::QuestionId>(scanner.parse_number(), "question");
         saw_question = true;
       } else if (key == "answer") {
-        event.answer_index = static_cast<std::int32_t>(
-            as_integer(scanner.parse_number(), "answer"));
+        event.answer_index =
+            as_integer<std::int32_t>(scanner.parse_number(), "answer");
       } else if (key == "votes") {
-        event.net_votes = static_cast<std::int32_t>(
-            as_integer(scanner.parse_number(), "votes"));
+        event.net_votes =
+            as_integer<std::int32_t>(scanner.parse_number(), "votes");
       } else if (key == "delta") {
-        event.vote_delta = static_cast<std::int32_t>(
-            as_integer(scanner.parse_number(), "delta"));
+        event.vote_delta =
+            as_integer<std::int32_t>(scanner.parse_number(), "delta");
         saw_delta = true;
       } else {
         scanner.fail("unknown key '" + key + "'");

@@ -107,14 +107,4 @@ SplitBody split_post_body(std::string_view html) {
   return split;
 }
 
-std::string strip_tags(std::string_view html) {
-  const SplitBody split = split_post_body(html);
-  // strip_tags keeps everything as prose: re-merge code into the word stream.
-  if (split.code.empty()) return split.words;
-  std::string merged = split.words;
-  merged += ' ';
-  merged += split.code;
-  return merged;
-}
-
 }  // namespace forumcast::text

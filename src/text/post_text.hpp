@@ -21,8 +21,4 @@ struct SplitBody {
 /// Unterminated code blocks run to the end of the input.
 SplitBody split_post_body(std::string_view html);
 
-/// Removes any remaining HTML tags and decodes the handful of entities that
-/// matter for tokenization (&amp; &lt; &gt; &quot; &#39; &nbsp;).
-std::string strip_tags(std::string_view html);
-
 }  // namespace forumcast::text

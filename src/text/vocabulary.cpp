@@ -1,7 +1,5 @@
 #include "text/vocabulary.hpp"
 
-#include "util/check.hpp"
-
 namespace forumcast::text {
 
 TokenId Vocabulary::add(std::string_view token) {
@@ -17,11 +15,6 @@ std::optional<TokenId> Vocabulary::lookup(std::string_view token) const {
   auto it = index_.find(std::string(token));
   if (it == index_.end()) return std::nullopt;
   return it->second;
-}
-
-const std::string& Vocabulary::token(TokenId id) const {
-  FORUMCAST_CHECK(id < tokens_.size());
-  return tokens_[id];
 }
 
 std::vector<TokenId> Vocabulary::encode(std::span<const std::string> tokens) {

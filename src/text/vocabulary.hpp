@@ -21,9 +21,6 @@ class Vocabulary {
   /// Returns the id if known.
   std::optional<TokenId> lookup(std::string_view token) const;
 
-  /// The token for an id. Requires id < size().
-  const std::string& token(TokenId id) const;
-
   std::size_t size() const { return tokens_.size(); }
 
   /// Interns every token of a document into ids.

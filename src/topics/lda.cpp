@@ -217,37 +217,6 @@ std::vector<double> Lda::document_topics(std::size_t doc) const {
   return theta;
 }
 
-std::vector<double> Lda::topic_words(std::size_t topic) const {
-  FORUMCAST_CHECK(fitted());
-  FORUMCAST_CHECK(topic < config_.num_topics);
-  std::vector<double> phi(vocab_size_);
-  const double denom = static_cast<double>(topic_totals_[topic]) +
-                       config_.beta * static_cast<double>(vocab_size_);
-  for (std::size_t w = 0; w < vocab_size_; ++w) {
-    phi[w] = (static_cast<double>(topic_word_counts_[topic * vocab_size_ + w]) +
-              config_.beta) /
-             denom;
-  }
-  return phi;
-}
-
-std::vector<text::TokenId> Lda::top_words(std::size_t topic,
-                                          std::size_t count) const {
-  const auto phi = topic_words(topic);
-  std::vector<text::TokenId> order(phi.size());
-  for (std::size_t w = 0; w < order.size(); ++w) {
-    order[w] = static_cast<text::TokenId>(w);
-  }
-  const std::size_t depth = std::min(count, order.size());
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(depth),
-                    order.end(), [&](text::TokenId a, text::TokenId b) {
-                      return phi[a] > phi[b];
-                    });
-  order.resize(depth);
-  return order;
-}
-
 std::vector<double> Lda::infer(std::span<const text::TokenId> document,
                                std::size_t iterations, std::uint64_t seed) const {
   FORUMCAST_CHECK(fitted());

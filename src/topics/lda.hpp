@@ -46,14 +46,6 @@ class Lda {
   /// Smoothed topic distribution θ_d of training document `doc`; sums to 1.
   std::vector<double> document_topics(std::size_t doc) const;
 
-  /// Smoothed word distribution φ_k of topic `topic`; sums to 1.
-  std::vector<double> topic_words(std::size_t topic) const;
-
-  /// The `count` most probable token ids of a topic, most probable first
-  /// (for labeling topics in analytics dashboards).
-  std::vector<text::TokenId> top_words(std::size_t topic,
-                                       std::size_t count = 10) const;
-
   /// Fold-in inference for an unseen document using the trained topic-word
   /// counts (held fixed). Deterministic given `seed`.
   std::vector<double> infer(std::span<const text::TokenId> document,

@@ -16,21 +16,6 @@ double total_variation_similarity(std::span<const double> a,
   return 1.0 - 0.5 * l1;
 }
 
-std::vector<double> mean_distribution(
-    std::span<const std::vector<double>> distributions) {
-  FORUMCAST_CHECK(!distributions.empty());
-  const std::size_t dim = distributions.front().size();
-  FORUMCAST_CHECK(dim > 0);
-  std::vector<double> mean(dim, 0.0);
-  for (const auto& dist : distributions) {
-    FORUMCAST_CHECK(dist.size() == dim);
-    for (std::size_t i = 0; i < dim; ++i) mean[i] += dist[i];
-  }
-  const double inv = 1.0 / static_cast<double>(distributions.size());
-  for (double& m : mean) m *= inv;
-  return mean;
-}
-
 std::vector<double> uniform_distribution(std::size_t dimension) {
   FORUMCAST_CHECK(dimension > 0);
   return std::vector<double>(dimension, 1.0 / static_cast<double>(dimension));

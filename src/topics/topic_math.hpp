@@ -11,10 +11,6 @@ namespace forumcast::topics {
 double total_variation_similarity(std::span<const double> a,
                                   std::span<const double> b);
 
-/// Element-wise mean of distributions; requires a non-empty, equal-width set.
-std::vector<double> mean_distribution(
-    std::span<const std::vector<double>> distributions);
-
 /// Uniform distribution of the given dimension.
 std::vector<double> uniform_distribution(std::size_t dimension);
 

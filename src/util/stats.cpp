@@ -89,26 +89,6 @@ double spearman(std::span<const double> xs, std::span<const double> ys) {
   return pearson(rx, ry);
 }
 
-std::vector<CdfPoint> empirical_cdf(std::span<const double> values, std::size_t points) {
-  FORUMCAST_CHECK(points >= 2);
-  if (values.empty()) return {};
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(points);
-  const auto n = sorted.size();
-  for (std::size_t i = 0; i < points; ++i) {
-    const double frac = static_cast<double>(i) / static_cast<double>(points - 1);
-    const auto idx = std::min(n - 1, static_cast<std::size_t>(frac * static_cast<double>(n - 1) + 0.5));
-    const double value = sorted[idx];
-    // Cumulative probability = fraction of samples <= value (right-most tie).
-    const auto upper = std::upper_bound(sorted.begin(), sorted.end(), value);
-    const double cum = static_cast<double>(upper - sorted.begin()) / static_cast<double>(n);
-    cdf.push_back({value, cum});
-  }
-  return cdf;
-}
-
 double fraction_at_most(std::span<const double> values, double threshold) {
   if (values.empty()) return 0.0;
   const auto count = std::count_if(values.begin(), values.end(),

@@ -29,17 +29,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys);
 /// Spearman rank correlation (Pearson over average ranks, tie-aware).
 double spearman(std::span<const double> xs, std::span<const double> ys);
 
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;
-  double cumulative_probability = 0.0;
-};
-
-/// Empirical CDF evaluated at `points` evenly spaced quantile positions
-/// (plus the max); suitable for printing the curves in paper Fig. 4.
-std::vector<CdfPoint> empirical_cdf(std::span<const double> values,
-                                    std::size_t points = 20);
-
 /// Fraction of `values` less than or equal to `threshold`.
 double fraction_at_most(std::span<const double> values, double threshold);
 

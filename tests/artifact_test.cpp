@@ -29,7 +29,6 @@ TEST(Artifact, PrimitivesRoundTrip) {
   enc.u8(0xab);
   enc.u32(0xdeadbeefu);
   enc.u64(0x0123456789abcdefULL);
-  enc.i64(-42);
   enc.boolean(true);
   enc.boolean(false);
   enc.f64(3.14159, "pi");
@@ -46,7 +45,6 @@ TEST(Artifact, PrimitivesRoundTrip) {
   EXPECT_EQ(dec.u8("a"), 0xab);
   EXPECT_EQ(dec.u32("b"), 0xdeadbeefu);
   EXPECT_EQ(dec.u64("c"), 0x0123456789abcdefULL);
-  EXPECT_EQ(dec.i64("d"), -42);
   EXPECT_TRUE(dec.boolean("e"));
   EXPECT_FALSE(dec.boolean("f"));
   EXPECT_EQ(dec.f64("g"), 3.14159);

@@ -22,17 +22,6 @@ TEST(Ranking, PrecisionAtK) {
   EXPECT_DOUBLE_EQ(precision_at_k(kScores, kLabels, 100), 0.5);
 }
 
-TEST(Ranking, RecallAtK) {
-  EXPECT_DOUBLE_EQ(recall_at_k(kScores, kLabels, 1), 0.0);
-  EXPECT_DOUBLE_EQ(recall_at_k(kScores, kLabels, 2), 0.5);
-  EXPECT_DOUBLE_EQ(recall_at_k(kScores, kLabels, 4), 1.0);
-}
-
-TEST(Ranking, RecallWithNoRelevantIsZero) {
-  const std::vector<int> none = {0, 0, 0, 0};
-  EXPECT_DOUBLE_EQ(recall_at_k(kScores, none, 2), 0.0);
-}
-
 TEST(Ranking, ReciprocalRank) {
   EXPECT_DOUBLE_EQ(reciprocal_rank(kScores, kLabels), 0.5);  // idx3 at rank 2
   const std::vector<int> first = {0, 1, 0, 0};

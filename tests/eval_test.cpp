@@ -82,12 +82,6 @@ TEST(Metrics, RmseKnownValue) {
   EXPECT_THROW(rmse(pred, std::vector<double>{1.0}), util::CheckError);
 }
 
-TEST(Metrics, MaeKnownValue) {
-  const std::vector<double> pred = {1.0, 2.0};
-  const std::vector<double> target = {2.0, 0.0};
-  EXPECT_DOUBLE_EQ(mae(pred, target), 1.5);
-}
-
 TEST(Metrics, ImprovementOrientation) {
   // Lower RMSE is better.
   EXPECT_NEAR(improvement_percent(2.0, 1.5, false), 25.0, 1e-12);

@@ -214,16 +214,6 @@ TEST(Dataset, PreprocessOrdersChronologically) {
 
 // ---------- windows ----------
 
-TEST(Dataset, QuestionsChronologicalOrder) {
-  std::vector<Thread> threads;
-  threads.push_back(make_thread(0, 30.0, {}));
-  threads.push_back(make_thread(0, 5.0, {}));
-  threads.push_back(make_thread(0, 20.0, {}));
-  const Dataset data(std::move(threads), 1);
-  const auto order = data.questions_chronological();
-  EXPECT_EQ(order, (std::vector<QuestionId>{1, 2, 0}));
-}
-
 TEST(Dataset, QuestionsInDays) {
   std::vector<Thread> threads;
   threads.push_back(make_thread(0, 0.0, {}));     // day 1

@@ -191,61 +191,5 @@ TEST(LinkFeatures, ResourceAllocationNoCommonNeighbors) {
   EXPECT_DOUBLE_EQ(resource_allocation_index(g, 0, 3), 0.0);
 }
 
-TEST(LinkFeatures, CommonNeighborsAndJaccard) {
-  Graph g(5);
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);
-  g.add_edge(1, 3);
-  g.add_edge(1, 4);
-  EXPECT_EQ(common_neighbor_count(g, 0, 1), 1u);  // node 3
-  // |Γ0 ∪ Γ1| = |{2,3} ∪ {3,4}| = 3.
-  EXPECT_NEAR(jaccard_coefficient(g, 0, 1), 1.0 / 3.0, 1e-12);
-}
-
-TEST(LinkFeatures, JaccardBothIsolated) {
-  Graph g(2);
-  EXPECT_DOUBLE_EQ(jaccard_coefficient(g, 0, 1), 0.0);
-}
-
-}  // namespace
-}  // namespace forumcast::graph
-
-namespace forumcast::graph {
-namespace {
-
-TEST(LinkFeatures, AdamicAdarIndex) {
-  // 0 and 1 share neighbors 2 (degree 3) and 3 (degree 2).
-  Graph g(5);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(2, 4);
-  g.add_edge(0, 3);
-  g.add_edge(1, 3);
-  EXPECT_NEAR(adamic_adar_index(g, 0, 1),
-              1.0 / std::log(3.0) + 1.0 / std::log(2.0), 1e-12);
-}
-
-TEST(LinkFeatures, AdamicAdarSkipsDegreeOneNeighbors) {
-  // Common neighbor 2 has degree 2 only through u and v; if it had degree 1
-  // the term is skipped (log 1 = 0 would divide by zero).
-  Graph g(3);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  EXPECT_NEAR(adamic_adar_index(g, 0, 1), 1.0 / std::log(2.0), 1e-12);
-  Graph isolated(4);
-  isolated.add_edge(0, 1);
-  EXPECT_DOUBLE_EQ(adamic_adar_index(isolated, 2, 3), 0.0);
-}
-
-TEST(LinkFeatures, PreferentialAttachment) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);
-  g.add_edge(1, 2);
-  EXPECT_DOUBLE_EQ(preferential_attachment(g, 0, 1), 6.0);  // 3 * 2
-  EXPECT_DOUBLE_EQ(preferential_attachment(g, 3, 3), 1.0);
-}
-
 }  // namespace
 }  // namespace forumcast::graph

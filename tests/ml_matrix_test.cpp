@@ -28,76 +28,10 @@ TEST(Matrix, RowViewIsMutable) {
   EXPECT_THROW(m.row(2), util::CheckError);
 }
 
-TEST(Matrix, MultiplyVector) {
-  Matrix m(2, 3);
-  // [1 2 3; 4 5 6] * [1 1 1] = [6, 15]
-  double value = 1.0;
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) m(r, c) = value++;
-  }
-  const std::vector<double> x = {1.0, 1.0, 1.0};
-  const auto y = m.multiply(x);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[1], 15.0);
-  EXPECT_THROW(m.multiply(std::vector<double>{1.0}), util::CheckError);
-}
-
-TEST(Matrix, MultiplyTransposedMatchesExplicitTranspose) {
-  Matrix m(3, 2);
-  double value = 0.5;
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 2; ++c) m(r, c) = value += 1.0;
-  }
-  const std::vector<double> x = {1.0, -2.0, 3.0};
-  const auto direct = m.multiply_transposed(x);
-  const auto via_transpose = m.transposed().multiply(x);
-  ASSERT_EQ(direct.size(), via_transpose.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(direct[i], via_transpose[i], 1e-12);
-  }
-}
-
-TEST(Matrix, MatmulSmallKnown) {
-  Matrix a(2, 2), b(2, 2);
-  a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 3; a(1, 1) = 4;
-  b(0, 0) = 5; b(0, 1) = 6; b(1, 0) = 7; b(1, 1) = 8;
-  const Matrix c = a.matmul(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(Matrix, MatmulDimensionMismatchThrows) {
-  Matrix a(2, 3), b(2, 2);
-  EXPECT_THROW(a.matmul(b), util::CheckError);
-}
-
-TEST(Matrix, AddScaledAndFrobenius) {
-  Matrix a(2, 2, 1.0), b(2, 2, 2.0);
-  a.add_scaled(b, 0.5);
-  EXPECT_DOUBLE_EQ(a(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 4.0);  // sqrt(4*4)
-  Matrix c(1, 2);
-  EXPECT_THROW(a.add_scaled(c, 1.0), util::CheckError);
-}
-
-TEST(Matrix, FillOverwrites) {
-  Matrix a(2, 2, 3.0);
-  a.fill(0.0);
-  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 0.0);
-}
-
-TEST(VectorOps, DotAxpyNorm) {
+TEST(VectorOps, Dot) {
   const std::vector<double> a = {1.0, 2.0, 3.0};
   const std::vector<double> b = {4.0, 5.0, 6.0};
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  std::vector<double> c = a;
-  axpy(c, b, 2.0);
-  EXPECT_DOUBLE_EQ(c[0], 9.0);
-  EXPECT_DOUBLE_EQ(c[2], 15.0);
-  EXPECT_DOUBLE_EQ(norm2(std::vector<double>{3.0, 4.0}), 5.0);
   EXPECT_THROW(dot(a, std::vector<double>{1.0}), util::CheckError);
 }
 

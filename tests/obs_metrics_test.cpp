@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "json_parser.hpp"
 #include "util/parallel.hpp"
 
 namespace forumcast::obs {
@@ -121,26 +123,29 @@ TEST(MetricsRegistryTest, SnapshotJsonContainsRegisteredMetrics) {
   EXPECT_NE(json.find("\"test.json.histogram\""), std::string::npos) << json;
 }
 
-TEST(MetricsRegistryTest, TextExpositionHasCumulativeBuckets) {
-  auto& registry = MetricsRegistry::global();
-  auto& histogram = registry.histogram("test.text.histogram", {1.0, 2.0});
-  histogram.reset();
-  histogram.observe(0.5);
-  histogram.observe(1.5);
-  histogram.observe(99.0);
-  const std::string text = registry.snapshot().to_text();
-  // Cumulative counts: le=1 sees 1, le=2 sees 2, le=+Inf sees all 3.
-  EXPECT_NE(text.find("test.text.histogram_bucket{le=\"1\"} 1"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test.text.histogram_bucket{le=\"2\"} 2"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test.text.histogram_bucket{le=\"+Inf\"} 3"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test.text.histogram_count 3"), std::string::npos)
-      << text;
+TEST(MetricsRegistryTest, JsonExportKeepsHostileMetricNamesIntact) {
+  MetricsRegistry registry;
+  // Hostile names (quote, backslash, newline) must not be able to forge
+  // extra keys or break the framing: they stay single escaped JSON strings.
+  const std::string hostile_counter = "evil name\"} 99\ninjected_metric 1";
+  const std::string hostile_gauge = "back\\slash gauge";
+  registry.counter(hostile_counter).add(3);
+  registry.gauge(hostile_gauge).set(2.0);
+  // Dotted names used across this codebase survive verbatim.
+  registry.counter("dotted.name.ok").add(1);
+  const std::string json = registry.snapshot().to_json();
+
+  std::shared_ptr<JsonValue> root;
+  ASSERT_NO_THROW(root = JsonParser(json).parse()) << json;
+  const auto& counters = as_object(as_object(root).at("counters"));
+  ASSERT_TRUE(counters.contains(hostile_counter)) << json;
+  EXPECT_EQ(as_number(counters.at(hostile_counter)), 3.0);
+  EXPECT_FALSE(counters.contains("injected_metric 1")) << json;
+  const auto& gauges = as_object(as_object(root).at("gauges"));
+  ASSERT_TRUE(gauges.contains(hostile_gauge)) << json;
+  EXPECT_EQ(as_number(gauges.at(hostile_gauge)), 2.0);
+  ASSERT_TRUE(counters.contains("dotted.name.ok")) << json;
+  EXPECT_EQ(as_number(counters.at("dotted.name.ok")), 1.0);
 }
 
 TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
@@ -206,37 +211,6 @@ TEST(MetricsRegistryTest, SnapshotCarriesProcessSelfMetrics) {
   for (const auto& [name, value] : later.gauges) {
     if (name == "process.uptime_seconds") EXPECT_GE(value, uptime);
   }
-}
-
-TEST(MetricsRegistryTest, TextExpositionEmitsEscapedHelp) {
-  MetricsRegistry registry;
-  registry.counter("test.help.counter").add(1);
-  registry.set_help("test.help.counter",
-                    "line one\nback\\slash and \"quotes\"");
-  const std::string text = registry.snapshot().to_text();
-  // Newlines and backslashes are escaped so the HELP line stays one line;
-  // quotes are legal in HELP text and pass through.
-  EXPECT_NE(text.find("# HELP test.help.counter "
-                      "line one\\nback\\\\slash and \"quotes\""),
-            std::string::npos)
-      << text;
-}
-
-TEST(MetricsRegistryTest, TextExpositionSanitizesHostileMetricNames) {
-  MetricsRegistry registry;
-  // A metric name with spaces, quotes, and a newline must not be able to
-  // forge extra exposition lines or break the framing.
-  registry.counter("evil name\"} 99\ninjected_metric 1").add(3);
-  registry.gauge("spaced gauge").set(2.0);
-  const std::string text = registry.snapshot().to_text();
-  EXPECT_NE(text.find("evil_name___99_injected_metric_1 3"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("spaced_gauge 2"), std::string::npos) << text;
-  EXPECT_EQ(text.find("injected_metric 1\n"), std::string::npos) << text;
-  // Dotted names used across this codebase survive verbatim.
-  registry.counter("dotted.name.ok").add(1);
-  EXPECT_NE(registry.snapshot().to_text().find("dotted.name.ok 1"),
-            std::string::npos);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsRegistrations) {

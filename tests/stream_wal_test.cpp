@@ -5,11 +5,13 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "stream/split.hpp"
 #include "stream/wal.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace forumcast::stream {
 namespace {
@@ -102,6 +105,37 @@ void dump(const std::string& path, const std::string& contents) {
   out << contents;
 }
 
+// Copies `bytes` into a heap block of exactly that size, so a decoder that
+// reads one byte past its input trips AddressSanitizer (a std::string's
+// spare capacity or inline buffer would hide the overread).
+std::unique_ptr<char[]> exact_copy(const std::string& bytes) {
+  auto block = std::make_unique<char[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), block.get());
+  return block;
+}
+
+// Deterministic hostile-input corpus, as for the wire codec: even rounds are
+// random byte strings, odd rounds a valid encoding from `valid` with 1-4
+// random bytes XOR-flipped.
+std::string fuzz_input(util::Rng& rng, int round,
+                       const std::vector<std::string>& valid) {
+  std::string bytes;
+  if (round % 2 == 0) {
+    const std::size_t length = rng.uniform_index(64);
+    for (std::size_t i = 0; i < length; ++i) {
+      bytes.push_back(static_cast<char>(rng.uniform_index(256)));
+    }
+    return bytes;
+  }
+  bytes = valid[rng.uniform_index(valid.size())];
+  const std::size_t flips = 1 + rng.uniform_index(4);
+  for (std::size_t f = 0; f < flips; ++f) {
+    bytes[rng.uniform_index(bytes.size())] ^=
+        static_cast<char>(1 + rng.uniform_index(255));
+  }
+  return bytes;
+}
+
 // ---------- binary codec ----------
 
 TEST(EventCodec, RoundTripsAllEventTypes) {
@@ -150,6 +184,26 @@ TEST(EventCodec, CorruptedPayloadFailsChecksum) {
   const DecodeResult decoded = decode_event_record(record);
   EXPECT_EQ(decoded.bytes_consumed, 0u);
   EXPECT_TRUE(decoded.corrupt);
+}
+
+TEST(EventCodec, FuzzCorpusNeverCrashesOrOverConsumes) {
+  // The WAL decoder must stay within its buffer, and a corrupt verdict
+  // (framing or CRC failure) must consume nothing.
+  std::vector<std::string> records;
+  for (const ForumEvent& event : sample_events()) {
+    append_event_record(records.emplace_back(), event);
+  }
+  util::Rng rng(20261018);
+  for (int round = 0; round < 2000; ++round) {
+    const std::string bytes = fuzz_input(rng, round, records);
+    const auto block = exact_copy(bytes);
+    const DecodeResult decoded =
+        decode_event_record(std::string_view(block.get(), bytes.size()));
+    EXPECT_LE(decoded.bytes_consumed, bytes.size());
+    if (decoded.corrupt) {
+      EXPECT_EQ(decoded.bytes_consumed, 0u);
+    }
+  }
 }
 
 // ---------- JSONL codec ----------
@@ -211,9 +265,34 @@ TEST(EventJson, RejectsMalformedInput) {
       R"({"type":"question","user":1,"time":2.0} extra)",     // trailing bytes
       R"({"type":"question","user":1,"time":2.0,"body":"\q"})",  // bad escape
       R"({"type":"question","user":1,"time":oops})",          // bad number
+      R"({"type":"question","user":4294967297,"time":2.0})",  // id past 2^32-1
+      R"({"type":"vote","question":1,"time":2.0,"delta":3e9})",  // int32 overflow
+      R"({"type":"question","user":1,"time":1e999})",         // non-finite time
   };
   for (const char* line : bad) {
     EXPECT_THROW(parse_event_json(line), util::CheckError) << line;
+  }
+}
+
+TEST(EventJson, FuzzCorpusRejectsOnlyWithCheckError) {
+  // Every rejection of a hostile JSONL line is a typed util::CheckError:
+  // never another exception type, a crash or an out-of-bounds read.
+  std::vector<std::string> lines;
+  for (const ForumEvent& event : sample_events()) {
+    lines.push_back(event_to_json(event));
+  }
+  util::Rng rng(20261019);
+  for (int round = 0; round < 2000; ++round) {
+    const std::string bytes = fuzz_input(rng, round, lines);
+    const auto block = exact_copy(bytes);
+    try {
+      parse_event_json(std::string_view(block.get(), bytes.size()));
+    } catch (const util::CheckError&) {
+      // The one allowed rejection.
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "round " << round << ": untyped rejection '"
+                    << error.what() << "' for input: " << bytes;
+    }
   }
 }
 

@@ -36,14 +36,6 @@ TEST(TopicMath, TotalVariationIsSymmetric) {
   }
 }
 
-TEST(TopicMath, MeanDistributionStaysDistribution) {
-  util::Rng rng(2);
-  std::vector<std::vector<double>> dists;
-  for (int i = 0; i < 10; ++i) dists.push_back(rng.dirichlet_symmetric(5, 0.3));
-  const auto mean = mean_distribution(dists);
-  EXPECT_TRUE(is_distribution(mean));
-}
-
 TEST(TopicMath, UniformDistribution) {
   const auto u = uniform_distribution(4);
   EXPECT_TRUE(is_distribution(u));
@@ -93,15 +85,6 @@ TEST(Lda, DocumentTopicsAreDistributions) {
   lda.fit(corpus.documents, corpus.vocab_size);
   for (std::size_t d = 0; d < corpus.documents.size(); ++d) {
     EXPECT_TRUE(is_distribution(lda.document_topics(d), 1e-9)) << "doc " << d;
-  }
-}
-
-TEST(Lda, TopicWordsAreDistributions) {
-  const auto corpus = make_corpus(3, 20, 30, 13);
-  Lda lda({.num_topics = 3, .iterations = 50, .seed = 2});
-  lda.fit(corpus.documents, corpus.vocab_size);
-  for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_TRUE(is_distribution(lda.topic_words(k), 1e-9)) << "topic " << k;
   }
 }
 
@@ -198,40 +181,6 @@ TEST(Lda, ValidatesInput) {
   EXPECT_THROW(lda.fit(docs, 3), util::CheckError);  // token 5 out of range
   EXPECT_THROW(lda.document_topics(0), util::CheckError);  // not fitted
   EXPECT_THROW(Lda({.num_topics = 0}), util::CheckError);
-}
-
-}  // namespace
-}  // namespace forumcast::topics
-
-namespace forumcast::topics {
-namespace {
-
-TEST(Lda, TopWordsComeFromTheTopicBand) {
-  // Corpus bands: topic k uses tokens [20k, 20k+20).
-  const auto corpus = make_corpus(3, 40, 50, 91);
-  Lda lda({.num_topics = 3, .iterations = 80, .seed = 9});
-  lda.fit(corpus.documents, corpus.vocab_size);
-  for (std::size_t k = 0; k < 3; ++k) {
-    const auto top = lda.top_words(k, 5);
-    ASSERT_EQ(top.size(), 5u);
-    // All of a topic's top words should share one ground-truth band.
-    const std::size_t band = top[0] / 20;
-    for (text::TokenId w : top) {
-      EXPECT_EQ(w / 20, band) << "topic " << k;
-    }
-    // And they are sorted by probability.
-    const auto phi = lda.topic_words(k);
-    for (std::size_t i = 1; i < top.size(); ++i) {
-      EXPECT_GE(phi[top[i - 1]], phi[top[i]]);
-    }
-  }
-}
-
-TEST(Lda, TopWordsCountClamped) {
-  const auto corpus = make_corpus(2, 10, 20, 93);
-  Lda lda({.num_topics = 2, .iterations = 20, .seed = 10});
-  lda.fit(corpus.documents, corpus.vocab_size);
-  EXPECT_EQ(lda.top_words(0, 100000).size(), corpus.vocab_size);
 }
 
 }  // namespace

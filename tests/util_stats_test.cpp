@@ -78,23 +78,6 @@ TEST(Stats, SpearmanHandlesTies) {
   EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
 }
 
-TEST(Stats, EmpiricalCdfIsMonotone) {
-  Rng rng(5);
-  std::vector<double> values(1000);
-  for (double& v : values) v = rng.normal();
-  const auto cdf = empirical_cdf(values, 30);
-  ASSERT_EQ(cdf.size(), 30u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].value, cdf[i - 1].value);
-    EXPECT_GE(cdf[i].cumulative_probability, cdf[i - 1].cumulative_probability);
-  }
-  EXPECT_NEAR(cdf.back().cumulative_probability, 1.0, 1e-12);
-}
-
-TEST(Stats, EmpiricalCdfEmptyInput) {
-  EXPECT_TRUE(empirical_cdf(std::vector<double>{}).empty());
-}
-
 TEST(Stats, FractionAtMost) {
   const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(fraction_at_most(v, 2.0), 0.5);

@@ -53,6 +53,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -79,6 +80,7 @@
 #include "stream/event_json.hpp"
 #include "stream/live_state.hpp"
 #include "stream/split.hpp"
+#include "cli_args.hpp"
 #include "util/check.hpp"
 #include "util/digest.hpp"
 #include "util/table.hpp"
@@ -87,38 +89,7 @@ namespace {
 
 using namespace forumcast;
 
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      FORUMCAST_CHECK_MSG(key.rfind("--", 0) == 0, "expected --flag, got " << key);
-      FORUMCAST_CHECK_MSG(i + 1 < argc, key << " requires a value");
-      values_[key.substr(2)] = argv[++i];
-    }
-  }
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  std::string require(const std::string& key) const {
-    const auto it = values_.find(key);
-    FORUMCAST_CHECK_MSG(it != values_.end(), "missing required --" << key);
-    return it->second;
-  }
-  long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stol(it->second);
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using cli::Args;
 
 forum::Dataset load_data(const Args& args) {
   const std::string path = args.require("data");
@@ -145,10 +116,8 @@ void apply_centrality_flags(core::PipelineConfig& config, const Args& args) {
         mode == "exact",
         "--centrality-mode must be 'exact' or 'sampled', got '" << mode << "'");
   }
-  const long pivots = args.get_int(
-      "centrality-pivots", static_cast<long>(centrality.num_pivots));
-  FORUMCAST_CHECK_MSG(pivots >= 1, "--centrality-pivots must be >= 1");
-  centrality.num_pivots = static_cast<std::size_t>(pivots);
+  centrality.num_pivots = args.get_int<std::size_t>(
+      "centrality-pivots", centrality.num_pivots, 1);
 }
 
 // The training flags every fitting command shares: --lda-iterations,
@@ -156,10 +125,9 @@ void apply_centrality_flags(core::PipelineConfig& config, const Args& args) {
 core::PipelineConfig pipeline_config(const Args& args) {
   core::PipelineConfig config;
   config.extractor.lda.iterations =
-      static_cast<std::size_t>(args.get_int("lda-iterations", 50));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
-  config.fit_threads =
-      static_cast<std::size_t>(args.get_int("fit-threads", 1));
+      args.get_int<std::size_t>("lda-iterations", 50);
+  config.seed = args.get_int<std::uint64_t>("seed", 99);
+  config.fit_threads = args.get_int<std::size_t>("fit-threads", 1);
   apply_centrality_flags(config, args);
   return config;
 }
@@ -176,10 +144,16 @@ core::ForecastPipeline fit_all_questions(const forum::Dataset& dataset,
   return pipeline;
 }
 
+/// --history-days: the training window is days 1..D and arrivals start on
+/// day D + 1, so D + 1 must still fit in an int.
+int history_days_flag(const Args& args) {
+  return args.get_int("history-days", 25, 1,
+                      std::numeric_limits<int>::max() - 1);
+}
+
 core::ForecastPipeline fit_pipeline(const forum::Dataset& dataset,
                                     const Args& args) {
-  const int history_days = static_cast<int>(args.get_int("history-days", 25));
-  FORUMCAST_CHECK_MSG(history_days >= 1, "--history-days must be >= 1");
+  const int history_days = history_days_flag(args);
   core::PipelineConfig config = pipeline_config(args);
   core::ForecastPipeline pipeline(config);
   const auto history = dataset.questions_in_days(1, history_days);
@@ -282,8 +256,7 @@ void print_prediction_digest(const core::ForecastPipeline& pipeline) {
 
 serve::BatchScorerConfig scorer_config(const Args& args) {
   serve::BatchScorerConfig config;
-  config.block_rows = static_cast<std::size_t>(args.get_int("batch-size", 256));
-  FORUMCAST_CHECK_MSG(config.block_rows >= 1, "--batch-size must be >= 1");
+  config.block_rows = args.get_int<std::size_t>("batch-size", 256, 1);
   return config;
 }
 
@@ -297,9 +270,9 @@ void print_cache_stats(const serve::BatchScorer& scorer) {
 
 int cmd_generate(const Args& args) {
   forum::GeneratorConfig config;
-  config.num_questions = static_cast<std::size_t>(args.get_int("questions", 2000));
-  config.num_users = static_cast<std::size_t>(args.get_int("users", 2000));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2026));
+  config.num_questions = args.get_int<std::size_t>("questions", 2000);
+  config.num_users = args.get_int<std::size_t>("users", 2000);
+  config.seed = args.get_int<std::uint64_t>("seed", 2026);
   const std::string out = args.get("out", "posts.csv");
   const auto forum_data = forum::generate_forum(config);
 
@@ -430,8 +403,7 @@ int cmd_ingest(const Args& args) {
 
   stream::LiveStateConfig live_config;
   live_config.wal_dir = wal_dir;
-  live_config.snapshot_every =
-      static_cast<std::size_t>(args.get_int("snapshot-every", 0));
+  live_config.snapshot_every = args.get_int<std::size_t>("snapshot-every", 0);
   stream::LiveState live(pipeline, dataset, live_config);
   if (live.events_recovered() > 0) {
     std::cout << "recovered " << live.events_recovered()
@@ -475,8 +447,7 @@ int cmd_ingest(const Args& args) {
     for (forum::UserId u = 0; u < dataset.num_users(); ++u) {
       candidates_all.push_back(u);
     }
-    const auto warm = static_cast<std::size_t>(
-        std::max<long>(0, args.get_int("monitor-warm", 64)));
+    const std::size_t warm = args.get_int<std::size_t>("monitor-warm", 64);
     const std::size_t first =
         warm_mark > warm ? warm_mark - warm : std::size_t{0};
     for (std::size_t q = first; q < warm_mark; ++q) {
@@ -487,9 +458,7 @@ int cmd_ingest(const Args& args) {
   const std::string events_path = args.get("ingest", "");
   if (!events_path.empty()) {
     const auto events = stream::load_events_jsonl(events_path);
-    const std::size_t chunk =
-        static_cast<std::size_t>(args.get_int("chunk", 256));
-    FORUMCAST_CHECK_MSG(chunk >= 1, "--chunk must be >= 1");
+    const std::size_t chunk = args.get_int<std::size_t>("chunk", 256, 1);
     std::size_t applied = 0;
     for (std::size_t begin = 0; begin < events.size(); begin += chunk) {
       const std::size_t n = std::min(chunk, events.size() - begin);
@@ -511,7 +480,7 @@ int cmd_ingest(const Args& args) {
   std::cout << "state digest: " << std::hex << live.digest() << std::dec
             << "\n";
 
-  const long question = args.get_int("question", -1);
+  const long question = args.get_int("question", -1L);
   if (question >= 0) {
     FORUMCAST_CHECK_MSG(static_cast<std::size_t>(question) <
                             dataset.num_questions(),
@@ -524,7 +493,7 @@ int cmd_ingest(const Args& args) {
       candidates.push_back(u);
     }
     const auto predictions = live.score(scorer, q, candidates);
-    const auto top_k = static_cast<std::size_t>(args.get_int("top", 10));
+    const auto top_k = args.get_int<std::size_t>("top", 10);
     std::vector<std::size_t> order(candidates.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::partial_sort(order.begin(),
@@ -579,7 +548,7 @@ int cmd_stats(const Args& args) {
 void print_top_candidates(const forum::Dataset& dataset,
                           const core::ForecastPipeline& pipeline,
                           const Args& args, forum::QuestionId question) {
-  const auto top_k = static_cast<std::size_t>(args.get_int("top", 10));
+  const auto top_k = args.get_int<std::size_t>("top", 10);
 
   std::vector<forum::UserId> candidates;
   candidates.reserve(dataset.num_users());
@@ -621,8 +590,7 @@ void print_top_candidates(const forum::Dataset& dataset,
 
 int cmd_predict(const Args& args) {
   const auto dataset = load_data(args);
-  const auto question =
-      static_cast<forum::QuestionId>(args.get_int("question", 0));
+  const auto question = args.get_int<forum::QuestionId>("question", 0);
   FORUMCAST_CHECK_MSG(question < dataset.num_questions(),
                       "question " << question << " out of range");
   const auto pipeline = obtain_pipeline(dataset, args);
@@ -662,16 +630,14 @@ void publish_port_file(const std::string& port_file, std::uint16_t port) {
 
 net::ServerConfig daemon_server_config(const Args& args) {
   net::ServerConfig config;
-  config.port = static_cast<std::uint16_t>(args.get_int("listen", 0));
+  config.port = args.get_listen_port("listen");
   // Absent flags keep the library defaults (BatcherConfig).
-  const auto flag = [&args](const char* key, std::size_t fallback) {
-    return static_cast<std::size_t>(
-        args.get_int(key, static_cast<long>(fallback)));
-  };
-  config.batcher.max_batch_requests =
-      flag("max-batch", config.batcher.max_batch_requests);
-  config.batcher.max_queue = flag("queue-cap", config.batcher.max_queue);
-  config.batcher.threads = flag("net-threads", config.batcher.threads);
+  config.batcher.max_batch_requests = args.get_int<std::size_t>(
+      "max-batch", config.batcher.max_batch_requests);
+  config.batcher.max_queue =
+      args.get_int<std::size_t>("queue-cap", config.batcher.max_queue);
+  config.batcher.threads =
+      args.get_int<std::size_t>("net-threads", config.batcher.threads);
   return config;
 }
 
@@ -770,8 +736,7 @@ int run_ingest_daemon(const Args& args) {
 
   stream::LiveStateConfig live_config;
   live_config.wal_dir = wal_dir;
-  live_config.snapshot_every =
-      static_cast<std::size_t>(args.get_int("snapshot-every", 0));
+  live_config.snapshot_every = args.get_int<std::size_t>("snapshot-every", 0);
 
   // state_mutex guards the current-state pointer (cheap, taken everywhere);
   // ingest_mutex serializes the feed thread against swap rebuilds (a WAL
@@ -812,8 +777,7 @@ int run_ingest_daemon(const Args& args) {
 
   net::ServerConfig config = daemon_server_config(args);
   config.replication = &publisher;
-  config.replication_port =
-      static_cast<std::uint16_t>(args.get_int("replisten", 0));
+  config.replication_port = args.get_listen_port("replisten");
   config.status_fn = [&] {
     net::ReplicaStatusInfo info;
     info.role = 1;
@@ -882,9 +846,7 @@ int run_ingest_daemon(const Args& args) {
   if (!events_path.empty()) {
     feed = std::thread([&] {
       const auto events = stream::load_events_jsonl(events_path);
-      const std::size_t chunk =
-          static_cast<std::size_t>(args.get_int("chunk", 256));
-      FORUMCAST_CHECK_MSG(chunk >= 1, "--chunk must be >= 1");
+      const std::size_t chunk = args.get_int<std::size_t>("chunk", 256, 1);
       const double delay_ms = args.get_double("feed-delay-ms", 0.0);
       std::size_t applied = 0;
       for (std::size_t begin = 0;
@@ -937,15 +899,12 @@ int cmd_replica(const Args& args) {
 
   replica::FollowerConfig follower_config;
   follower_config.primary_host = args.get("primary-host", "127.0.0.1");
-  follower_config.primary_port =
-      static_cast<std::uint16_t>(args.get_int("primary-port", 0));
-  FORUMCAST_CHECK_MSG(follower_config.primary_port != 0,
-                      "--primary-port (the primary's replication port) is "
-                      "required");
+  // The primary's replication port.
+  follower_config.primary_port = args.require_dial_port("primary-port");
   follower_config.wal_dir = args.require("wal-dir");
   std::filesystem::create_directories(follower_config.wal_dir);
   follower_config.snapshot_every =
-      static_cast<std::size_t>(args.get_int("snapshot-every", 0));
+      args.get_int<std::size_t>("snapshot-every", 0);
   follower_config.heartbeat_ms =
       args.get_double("heartbeat-ms", follower_config.heartbeat_ms);
   // Bounded transport: a dead or still-booting primary costs bounded time
@@ -1009,7 +968,7 @@ int cmd_serve(const Args& args) {
   if (args.get("listen", "").size() > 0) {
     return run_daemon(dataset, std::move(pipeline), args);
   }
-  const long question = args.get_int("question", -1);
+  const long question = args.get_int("question", -1L);
   if (question >= 0) {
     FORUMCAST_CHECK_MSG(
         static_cast<std::size_t>(question) < dataset.num_questions(),
@@ -1021,9 +980,9 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_route(const Args& args) {
+  const int history_days = history_days_flag(args);
   const auto dataset = load_data(args);
   const auto pipeline = obtain_pipeline(dataset, args);
-  const int history_days = static_cast<int>(args.get_int("history-days", 25));
   const int last_day =
       static_cast<int>(dataset.last_post_time() / 24.0) + 1;
   const auto arrivals = dataset.questions_in_days(history_days + 1, last_day);
@@ -1082,13 +1041,13 @@ int cmd_evaluate(const Args& args) {
   }
   features::ExtractorConfig extractor_config;
   extractor_config.lda.iterations =
-      static_cast<std::size_t>(args.get_int("lda-iterations", 50));
+      args.get_int<std::size_t>("lda-iterations", 50);
   exp::ExperimentContext context(dataset, omega, omega, extractor_config);
 
   exp::TaskSetup setup = exp::fast_task_setup();
-  setup.folds = static_cast<std::size_t>(args.get_int("folds", 5));
-  setup.repeats = static_cast<std::size_t>(args.get_int("repeats", 2));
-  setup.seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
+  setup.folds = args.get_int<std::size_t>("folds", 5);
+  setup.repeats = args.get_int<std::size_t>("repeats", 2);
+  setup.seed = args.get_int<std::uint64_t>("seed", 1234);
   std::cout << "running " << setup.folds * setup.repeats
             << " cross-validation iterations...\n";
   const auto result = exp::run_tasks(context, setup);

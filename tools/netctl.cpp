@@ -33,12 +33,12 @@
 #include <bit>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "net/client.hpp"
 #include "replica/cluster.hpp"
 #include "util/check.hpp"
@@ -48,39 +48,10 @@ namespace {
 
 using namespace forumcast;
 
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      FORUMCAST_CHECK_MSG(key.rfind("--", 0) == 0,
-                          "expected --flag, got " << key);
-      FORUMCAST_CHECK_MSG(i + 1 < argc, key << " requires a value");
-      values_[key.substr(2)] = argv[++i];
-    }
-  }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  std::string require(const std::string& key) const {
-    const auto it = values_.find(key);
-    FORUMCAST_CHECK_MSG(it != values_.end(), "missing required --" << key);
-    return it->second;
-  }
-  long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stol(it->second);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using cli::Args;
 
 std::uint16_t port_of(const Args& args) {
-  const long port = args.get_int("port", 0);
-  FORUMCAST_CHECK_MSG(port > 0 && port <= 65535, "--port must be 1..65535");
-  return static_cast<std::uint16_t>(port);
+  return args.require_dial_port("port");
 }
 
 std::vector<forum::UserId> parse_users(const std::string& csv) {
@@ -89,7 +60,7 @@ std::vector<forum::UserId> parse_users(const std::string& csv) {
   std::string item;
   while (std::getline(stream, item, ',')) {
     if (!item.empty()) {
-      users.push_back(static_cast<forum::UserId>(std::stoul(item)));
+      users.push_back(cli::parse_int<forum::UserId>("users", item));
     }
   }
   return users;
@@ -108,8 +79,7 @@ int cmd_health(const Args& args) {
 
 int cmd_score(const Args& args) {
   const auto users = parse_users(args.require("users"));
-  const auto question =
-      static_cast<forum::QuestionId>(args.get_int("question", 0));
+  const auto question = args.get_int<forum::QuestionId>("question", 0);
   std::vector<core::Prediction> predictions;
   const std::string cluster = args.get("cluster", "");
   if (cluster.empty()) {
@@ -157,9 +127,8 @@ int cmd_owners(const Args& args) {
 int cmd_route(const Args& args) {
   net::Client client(port_of(args));
   const auto users = parse_users(args.require("users"));
-  const auto question =
-      static_cast<forum::QuestionId>(args.get_int("question", 0));
-  const auto top_k = static_cast<std::uint32_t>(args.get_int("top", 0));
+  const auto question = args.get_int<forum::QuestionId>("question", 0);
+  const auto top_k = args.get_int<std::uint32_t>("top", 0);
   const net::Message response = client.route(question, top_k, users);
   std::cout << "feasible: " << (response.feasible ? "yes" : "no") << "\n";
   for (const net::RouteEntry& entry : response.routes) {
@@ -235,10 +204,10 @@ int cmd_digest(const Args& args) {
 
 int cmd_hammer(const Args& args) {
   const std::uint16_t port = port_of(args);
-  const long total = args.get_int("requests", 1000);
-  const long concurrency = std::max<long>(1, args.get_int("concurrency", 4));
+  const long total = args.get_int("requests", 1000L, 0L);
+  const long concurrency = args.get_int("concurrency", 4L, 1L);
   const std::string swap_bundle = args.get("swap-model", "");
-  const long swaps = swap_bundle.empty() ? 0 : args.get_int("swaps", 2);
+  const long swaps = swap_bundle.empty() ? 0 : args.get_int("swaps", 2L, 0L);
 
   net::Client probe(port);
   const net::HealthInfo health = probe.health();
