@@ -18,6 +18,7 @@
 
 #include "core/pipeline.hpp"
 #include "forum/generator.hpp"
+#include "replica/node.hpp"
 #include "replica/ring.hpp"
 #include "stream/live_state.hpp"
 #include "stream/split.hpp"
@@ -83,25 +84,13 @@ struct ReplicaFixture {
   }
 
  public:
-  // A serving state rebuilt from (base copy, bundle bytes) — the identical
-  // construction the daemons use, so replay cost is the deployed cost.
-  struct State {
-    forum::Dataset dataset;
-    core::ForecastPipeline pipeline;
-    std::unique_ptr<stream::LiveState> live;
-  };
-
-  std::unique_ptr<State> fresh_state(const std::filesystem::path& wal_dir) {
-    auto state = std::make_unique<State>();
-    state->dataset = base;
-    std::istringstream in(bundle_bytes);
-    state->pipeline = core::ForecastPipeline::load(in, state->dataset);
+  // A serving state rebuilt from (base copy, bundle bytes) by the replica
+  // nodes' own builder, so replay cost is the deployed cost.
+  std::shared_ptr<replica::NodeState> fresh_state(
+      const std::filesystem::path& wal_dir) {
     stream::LiveStateConfig live_config;
     live_config.wal_dir = wal_dir.string();
-    state->live = std::make_unique<stream::LiveState>(state->pipeline,
-                                                      state->dataset,
-                                                      live_config);
-    return state;
+    return replica::build_node_state(base, bundle_bytes, live_config);
   }
 };
 
@@ -133,7 +122,7 @@ void BM_PrimaryIngest(benchmark::State& state) {
   const auto wal_dir =
       std::filesystem::temp_directory_path() / "forumcast_bench_replica_i";
 
-  std::unique_ptr<ReplicaFixture::State> run;
+  std::shared_ptr<replica::NodeState> run;
   std::size_t cursor = events.size();  // force a fresh build on entry
   std::int64_t ingested = 0;
   for (auto _ : state) {

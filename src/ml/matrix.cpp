@@ -38,16 +38,18 @@ std::span<const double> Matrix::row(std::size_t r) const {
 namespace {
 using v4df = double __attribute__((vector_size(32)));
 
-// Four lanes of ml::fmadd — same pinned-contraction contract: one rounding
-// per step on FMA hardware, mul-then-add otherwise, each lane independent.
-inline v4df vfmadd(double a, v4df b, v4df acc) {
+// Four lanes of ml::fmadd, acc += a·b — same pinned-contraction contract:
+// one rounding per step on FMA hardware, mul-then-add otherwise, each lane
+// independent. The vectors go by reference: a 32-byte vector passed by value
+// has an ISA-dependent ABI, which GCC warns about (-Wpsabi).
+inline void vfmadd(double a, const v4df& b, v4df& acc) {
 #ifdef __FMA__
   const v4df av = {a, a, a, a};
-  return static_cast<v4df>(
+  acc = static_cast<v4df>(
       _mm256_fmadd_pd(static_cast<__m256d>(av), static_cast<__m256d>(b),
                       static_cast<__m256d>(acc)));
 #else
-  return acc + a * b;
+  acc = acc + a * b;
 #endif
 }
 }  // namespace
@@ -100,10 +102,10 @@ void gemm_nt(std::size_t n, std::size_t m, std::size_t k, const double* a,
       for (std::size_t kk = 0; kk < k; ++kk) {
         v4df bv;
         __builtin_memcpy(&bv, pb + kk * 4, sizeof(bv));
-        acc0 = vfmadd(a0[kk], bv, acc0);
-        acc1 = vfmadd(a1[kk], bv, acc1);
-        acc2 = vfmadd(a2[kk], bv, acc2);
-        acc3 = vfmadd(a3[kk], bv, acc3);
+        vfmadd(a0[kk], bv, acc0);
+        vfmadd(a1[kk], bv, acc1);
+        vfmadd(a2[kk], bv, acc2);
+        vfmadd(a3[kk], bv, acc3);
       }
       __builtin_memcpy(c + (i + 0) * ldc + j, &acc0, sizeof(acc0));
       __builtin_memcpy(c + (i + 1) * ldc + j, &acc1, sizeof(acc1));
@@ -138,7 +140,7 @@ void gemm_nt(std::size_t n, std::size_t m, std::size_t k, const double* a,
       for (std::size_t kk = 0; kk < k; ++kk) {
         v4df bv;
         __builtin_memcpy(&bv, pb + kk * 4, sizeof(bv));
-        acc = vfmadd(ai[kk], bv, acc);
+        vfmadd(ai[kk], bv, acc);
       }
       __builtin_memcpy(ci + j, &acc, sizeof(acc));
     }
@@ -206,7 +208,7 @@ void gemm_nn(std::size_t n, std::size_t m, std::size_t k, const double* a,
         v4df cv, bv;
         __builtin_memcpy(&cv, ci + j, sizeof(cv));
         __builtin_memcpy(&bv, bk + j, sizeof(bv));
-        cv = vfmadd(av, bv, cv);
+        vfmadd(av, bv, cv);
         __builtin_memcpy(ci + j, &cv, sizeof(cv));
       }
 #endif
@@ -233,7 +235,7 @@ void gemm_tn_accumulate(std::size_t k, std::size_t n, std::size_t m,
         v4df cv, bv;
         __builtin_memcpy(&cv, cu + j, sizeof(cv));
         __builtin_memcpy(&bv, br + j, sizeof(bv));
-        cv = vfmadd(av, bv, cv);
+        vfmadd(av, bv, cv);
         __builtin_memcpy(cu + j, &cv, sizeof(cv));
       }
 #endif

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -27,6 +27,17 @@ std::string fault_text(std::uint64_t seq, std::uint64_t expected,
   return std::move(out).str();
 }
 
+bool poll_until(const std::function<bool()>& done, double timeout_ms) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration<double, std::milli>(timeout_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
 }  // namespace
 
 DivergenceFault::DivergenceFault(std::uint64_t seq, std::uint64_t expected,
@@ -37,22 +48,16 @@ DivergenceFault::DivergenceFault(std::uint64_t seq, std::uint64_t expected,
       actual_(actual) {}
 
 Follower::Follower(const forum::Dataset& base, FollowerConfig config)
-    : base_(base), config_(std::move(config)) {
+    : config_(std::move(config)),
+      node_(base, {.wal_dir = config_.wal_dir,
+                   .snapshot_every = config_.snapshot_every}) {
   FORUMCAST_CHECK_MSG(!config_.wal_dir.empty(),
                       "follower requires a --wal-dir for local durability");
   caught_up_time_ = std::chrono::steady_clock::now();
   bootstrap_local();
 }
 
-Follower::~Follower() {
-  stop();
-  std::shared_ptr<Serving> old;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    old = std::move(serving_);
-  }
-  if (old && scorer_) old->live->detach(scorer_.get());
-}
+Follower::~Follower() { stop(); }
 
 void Follower::stop() noexcept { stop_.store(true, std::memory_order_release); }
 
@@ -60,154 +65,62 @@ void Follower::bootstrap_local() {
   // A restart finds the previously fetched bundle + the follower's own WAL
   // in wal_dir; rebuilding from them restores the pre-crash state without
   // touching the network (the tail then resumes from applied_seq).
-  std::ifstream in(stream::model_bundle_path(config_.wal_dir),
-                   std::ios::binary);
-  if (!in.good()) return;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  install(build_serving(std::move(buffer).str()));
+  const std::string bundle_path = stream::model_bundle_path(config_.wal_dir);
+  if (!std::filesystem::exists(bundle_path)) return;
+  node_.install(read_bundle_file(bundle_path));
   FORUMCAST_LOG_INFO << "follower recovered locally to seq " << applied_seq();
 }
 
-std::shared_ptr<Follower::Serving> Follower::build_serving(
-    const std::string& bundle_bytes) {
-  auto next = std::make_shared<Serving>();
-  next->dataset = base_;
-  std::istringstream in(bundle_bytes);
-  next->pipeline = core::ForecastPipeline::load(in, next->dataset);
-  stream::LiveStateConfig live_config;
-  live_config.wal_dir = config_.wal_dir;
-  live_config.snapshot_every = config_.snapshot_every;
-  next->live = std::make_unique<stream::LiveState>(next->pipeline,
-                                                   next->dataset, live_config);
-  return next;
-}
-
-void Follower::install(std::shared_ptr<Serving> next) {
-  std::shared_ptr<Serving> old;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    old = serving_;
-    serving_ = next;
-    // Aliasing pointer: holders of the pipeline keep the whole Serving
-    // (dataset + live state) alive, which is the zero-dropped-reads
-    // guarantee across installs.
-    std::shared_ptr<const core::ForecastPipeline> alias(next,
-                                                        &next->pipeline);
-    if (!scorer_) {
-      scorer_ = std::make_unique<serve::BatchScorer>(std::move(alias));
-    } else {
-      scorer_->swap_model(std::move(alias));
-    }
-    next->live->attach(scorer_.get());
-  }
-  if (old) old->live->detach(scorer_.get());
-}
-
-std::shared_ptr<Follower::Serving> Follower::current() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return serving_;
-}
-
-bool Follower::has_serving() const { return current() != nullptr; }
-
 bool Follower::wait_serving(double timeout_ms) const {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration<double, std::milli>(timeout_ms);
-  while (!has_serving()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return true;
+  return poll_until([this] { return node_.current() != nullptr; },
+                    timeout_ms);
 }
 
 bool Follower::wait_applied(std::uint64_t seq, double timeout_ms) const {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration<double, std::milli>(timeout_ms);
-  while (applied_seq() < seq) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return true;
+  return poll_until([&] { return applied_seq() >= seq; }, timeout_ms);
 }
 
-serve::BatchScorer& Follower::scorer() {
-  FORUMCAST_CHECK_MSG(scorer_ != nullptr,
-                      "follower has no serving state yet (bootstrap pending)");
-  return *scorer_;
-}
+serve::BatchScorer& Follower::scorer() { return node_.scorer(); }
 
-std::uint64_t Follower::applied_seq() const {
-  const std::shared_ptr<Serving> s = current();
-  return s ? s->live->last_seq() : 0;
-}
+std::uint64_t Follower::applied_seq() const { return node_.applied_seq(); }
 
-std::function<std::shared_ptr<void>()> Follower::read_guard_fn() {
-  return [this]() -> std::shared_ptr<void> {
-    std::shared_ptr<Serving> s = current();
-    if (!s) return nullptr;
-    // The token pins both the Serving (so an install can't free it) and
-    // the LiveState reader lock (so the tail thread can't mutate under
-    // the read).
-    struct Token {
-      std::shared_ptr<Serving> serving;
-      std::shared_ptr<void> guard;
-    };
-    auto token = std::make_shared<Token>();
-    token->guard = s->live->read_guard();
-    token->serving = std::move(s);
-    return token;
+void Follower::configure(net::ServerConfig& config) {
+  config.status_fn = [this] { return status(); };
+  config.batcher.read_guard = node_.read_guard_fn();
+  config.batcher.swap_fn =
+      [](const std::string&) -> std::pair<std::uint64_t, std::uint64_t> {
+    throw std::runtime_error(
+        "followers do not accept swaps; swap the primary and the tier "
+        "propagates it");
   };
 }
 
-std::function<net::ReplicaStatusInfo()> Follower::status_fn() {
-  return [this] { return status(); };
-}
-
 net::ReplicaStatusInfo Follower::status() const {
-  net::ReplicaStatusInfo info;
-  info.role = 2;
-  std::shared_ptr<Serving> s;
-  std::chrono::steady_clock::time_point caught;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s = serving_;
-    info.head_seq = head_seq_;
-    caught = caught_up_time_;
-  }
-  if (s) {
-    info.applied_seq = s->live->last_seq();
-    info.digest = s->live->digest();
-  }
-  if (info.head_seq > info.applied_seq) {
-    info.lag_events = info.head_seq - info.applied_seq;
-    info.lag_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - caught)
-                      .count();
-  }
+  net::ReplicaStatusInfo info = node_.status(2);
+  fill_lag(info);
   return info;
 }
 
-void Follower::export_gauges() {
-  std::uint64_t head;
-  std::chrono::steady_clock::time_point caught;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    head = head_seq_;
-    caught = caught_up_time_;
+void Follower::fill_lag(net::ReplicaStatusInfo& info) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  info.head_seq = head_seq_;
+  if (head_seq_ > info.applied_seq) {
+    info.lag_events = head_seq_ - info.applied_seq;
+    info.lag_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - caught_up_time_)
+                      .count();
   }
-  const std::uint64_t applied = applied_seq();
-  const std::uint64_t lag_events = head > applied ? head - applied : 0;
-  const double lag_ms =
-      lag_events == 0 ? 0.0
-                      : std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - caught)
-                            .count();
-  FORUMCAST_GAUGE_SET("replica.applied_seq", static_cast<double>(applied));
-  FORUMCAST_GAUGE_SET("replica.lag_events", static_cast<double>(lag_events));
-  FORUMCAST_GAUGE_SET("replica.lag_ms", lag_ms);
+}
+
+void Follower::export_gauges() {
+  net::ReplicaStatusInfo info;  // no digest: this runs after every batch
+  info.applied_seq = applied_seq();
+  fill_lag(info);
+  FORUMCAST_GAUGE_SET("replica.applied_seq",
+                      static_cast<double>(info.applied_seq));
+  FORUMCAST_GAUGE_SET("replica.lag_events",
+                      static_cast<double>(info.lag_events));
+  FORUMCAST_GAUGE_SET("replica.lag_ms", info.lag_ms);
 }
 
 void Follower::subscribe(net::Client& client, std::uint64_t from_seq,
@@ -236,12 +149,12 @@ void Follower::complete_fetch() {
     std::filesystem::remove(stream::wal_path(config_.wal_dir), ec);
     std::filesystem::remove(stream::snapshot_path(config_.wal_dir), ec);
   }
-  install(build_serving(fetch_.bundle));
+  node_.install(fetch_.bundle);
   if (fetch_.swap) {
     swaps_applied_.fetch_add(1, std::memory_order_acq_rel);
     FORUMCAST_COUNTER_ADD("replica.swaps_applied", 1);
     FORUMCAST_LOG_INFO << "follower applied model swap; serving generation "
-                       << scorer_->pipeline()->generation();
+                       << node_.scorer().pipeline()->generation();
   } else if (fetch_.wipe) {
     FORUMCAST_LOG_INFO << "follower resynced from primary snapshot";
   } else {
@@ -253,7 +166,7 @@ void Follower::complete_fetch() {
 
 void Follower::handle_batch(net::Client& client, const net::Message& batch) {
   if (fetch_.active && fetch_.wipe) return;  // stale stream during resync
-  const std::shared_ptr<Serving> s = current();
+  const std::shared_ptr<NodeState> s = node_.current();
   if (!s) return;  // bundle fetch still in flight
 
   std::vector<stream::ForumEvent> events;
@@ -306,7 +219,7 @@ void Follower::handle_batch(net::Client& client, const net::Message& batch) {
 
 bool Follower::session(net::Client& client) {
   fetch_ = Fetch{};
-  const std::shared_ptr<Serving> s = current();
+  const std::shared_ptr<NodeState> s = node_.current();
   if (s) {
     subscribe(client, s->live->last_seq(), /*want_bundle=*/false);
   } else {

@@ -1,5 +1,5 @@
 // Follower replica: bootstraps from the primary, tails its WAL stream, and
-// serves reads from its own LiveState + BatchScorer.
+// serves reads from its own replica::Node (LiveState + BatchScorer).
 //
 // Lifecycle:
 //
@@ -18,27 +18,24 @@
 // rebuilt state at the atomic install.
 //
 // Model swap: a kModelSwap broadcast makes the follower re-fetch the bundle
-// and rebuild (base dataset + new bundle + local event log), then
-// BatchScorer::swap_model installs it — the same zero-dropped-reads path the
-// primary uses. Exports replica.applied_seq / replica.lag_events /
-// replica.lag_ms gauges.
+// and Node::install it (base dataset + new bundle + local event log) — the
+// same zero-dropped-reads path the primary's swap takes. Exports
+// replica.applied_seq / replica.lag_events / replica.lag_ms gauges.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 
-#include "core/pipeline.hpp"
 #include "forum/dataset.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
+#include "net/server.hpp"
+#include "replica/node.hpp"
 #include "serve/batch_scorer.hpp"
-#include "stream/live_state.hpp"
 
 namespace forumcast::replica {
 
@@ -93,21 +90,23 @@ class Follower {
   void run();
   void stop() noexcept;
 
-  /// True once serving state exists (local bootstrap or wire fetch done).
-  bool has_serving() const;
-  /// Blocks (polling) until serving state exists; false on timeout.
+  /// Blocks (polling) until serving state exists (local bootstrap or wire
+  /// fetch done); false on timeout.
   bool wait_serving(double timeout_ms) const;
   /// Blocks until applied_seq() >= seq; false on timeout.
   bool wait_applied(std::uint64_t seq, double timeout_ms) const;
 
-  /// The scorer to build a net::Server over. Valid once has_serving().
+  /// The scorer to build a net::Server over. Valid once wait_serving()
+  /// returns true.
   serve::BatchScorer& scorer();
 
-  /// Hooks for ServerConfig / BatcherConfig: the read guard pins the
-  /// current serving state + LiveState reader lock; status answers
-  /// kReplicaStatusRequest with role/lag/digest.
-  std::function<std::shared_ptr<void>()> read_guard_fn();
-  std::function<net::ReplicaStatusInfo()> status_fn();
+  /// Fills config.status_fn (status()), batcher.read_guard (the node's)
+  /// and batcher.swap_fn, which refuses: followers take models only from
+  /// the primary's broadcast, never from a client swap (which would fork
+  /// the replica from the tier). The follower must outlive the server.
+  void configure(net::ServerConfig& config);
+  /// Role 2 with the node's (applied_seq, digest) plus the primary's last
+  /// reported head and the lag behind it.
   net::ReplicaStatusInfo status() const;
 
   std::uint64_t applied_seq() const;
@@ -122,16 +121,6 @@ class Follower {
   }
 
  private:
-  /// One rebuildable unit of serving state. The pipeline references the
-  /// dataset *member*, so the whole struct lives on the heap behind a
-  /// shared_ptr; aliasing pointers into `pipeline` keep it alive for every
-  /// in-flight read across installs.
-  struct Serving {
-    forum::Dataset dataset;
-    core::ForecastPipeline pipeline;
-    std::unique_ptr<stream::LiveState> live;
-  };
-
   /// In-flight bundle fetch over the replication connection.
   struct Fetch {
     bool active = false;
@@ -144,9 +133,6 @@ class Follower {
     std::string bundle;
   };
 
-  std::shared_ptr<Serving> build_serving(const std::string& bundle_bytes);
-  void install(std::shared_ptr<Serving> next);
-  std::shared_ptr<Serving> current() const;
   void bootstrap_local();
   /// One connection's lifetime; true = reconnect, false = stopping.
   bool session(net::Client& client);
@@ -155,14 +141,15 @@ class Follower {
   void handle_batch(net::Client& client, const net::Message& batch);
   void complete_fetch();
   void begin_resync(net::Client& client);
+  /// Sets info.head_seq to the primary's last reported head and, when
+  /// info.applied_seq is behind it, the lag fields.
+  void fill_lag(net::ReplicaStatusInfo& info) const;
   void export_gauges();
 
-  const forum::Dataset& base_;
   FollowerConfig config_;
+  Node node_;
 
-  mutable std::mutex mutex_;
-  std::shared_ptr<Serving> serving_;
-  std::unique_ptr<serve::BatchScorer> scorer_;
+  mutable std::mutex mutex_;  ///< guards head_seq_ and caught_up_time_
   std::uint64_t head_seq_ = 0;  ///< primary's head, as last reported
   /// Last instant applied_seq covered the known head; lag_ms measures from
   /// here while behind (0 while caught up).

@@ -418,6 +418,7 @@ TEST(CentralityEngine, OneShotHelpersMatchEngine) {
                        engine.closeness(), "one-shot closeness");
 }
 
+#if FORUMCAST_OBS_ENABLED
 TEST(CentralityEngine, EmitsObservabilityCounters) {
   // The sampled/incremental path's cost must be visible in netctl metrics:
   // full_refreshes on rebuild, sampled_pivots per sweep batch, and
@@ -445,6 +446,7 @@ TEST(CentralityEngine, EmitsObservabilityCounters) {
   EXPECT_GE(registry.counter("centrality.dirty_vertices").value(),
             dirty_before + 2);
 }
+#endif
 
 // --- Bundle round trip of the knob ---
 

@@ -209,7 +209,9 @@ TEST(MetricsRegistryTest, SnapshotCarriesProcessSelfMetrics) {
   // Refreshed at snapshot time: uptime is monotone across snapshots.
   const auto later = registry.snapshot();
   for (const auto& [name, value] : later.gauges) {
-    if (name == "process.uptime_seconds") EXPECT_GE(value, uptime);
+    if (name == "process.uptime_seconds") {
+      EXPECT_GE(value, uptime);
+    }
   }
 }
 

@@ -15,7 +15,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
@@ -33,11 +32,10 @@
 #include "net/server.hpp"
 #include "replica/cluster.hpp"
 #include "replica/follower.hpp"
-#include "replica/publisher.hpp"
+#include "replica/primary.hpp"
 #include "serve/batch_scorer.hpp"
 #include "stream/live_state.hpp"
 #include "stream/split.hpp"
-#include "stream/wal.hpp"
 #include "util/check.hpp"
 
 namespace forumcast::replica {
@@ -127,148 +125,56 @@ struct TierFixture {
   std::string bundle_path_;
 };
 
-/// One rebuildable unit of primary serving state (see run_ingest_daemon /
-/// Follower::Serving — the same shape, for the same aliasing reason).
-struct Serving {
-  forum::Dataset dataset;
-  core::ForecastPipeline pipeline;
-  std::unique_ptr<stream::LiveState> live;
-};
-
-std::shared_ptr<Serving> build_serving(const forum::Dataset& base,
-                                       const std::string& bundle_bytes,
-                                       const std::string& wal_dir) {
-  auto serving = std::make_shared<Serving>();
-  serving->dataset = base;
-  std::istringstream in(bundle_bytes);
-  serving->pipeline = core::ForecastPipeline::load(in, serving->dataset);
-  stream::LiveStateConfig live_config;
-  live_config.wal_dir = wal_dir;
-  serving->live = std::make_unique<stream::LiveState>(serving->pipeline,
-                                                      serving->dataset,
-                                                      live_config);
-  return serving;
-}
-
-/// An in-process primary: LiveState over a WAL dir, a Publisher shipping
-/// it, and a replication-enabled Server on ephemeral loopback ports — the
-/// run_ingest_daemon wiring, compressed for tests. An optional source
-/// wrapper lets a test interpose on the replication stream (fault
-/// injection).
+/// A real replica::Primary over a WAL dir, served by a replication-enabled
+/// Server on ephemeral loopback ports. An optional source wrapper lets a
+/// test interpose on the replication stream (fault injection) by
+/// overriding config.replication.
 class PrimaryHarness {
  public:
   using SourceWrapper =
       std::function<std::unique_ptr<net::ReplicationSource>(
           net::ReplicationSource*)>;
 
-  explicit PrimaryHarness(std::string wal_dir,
+  explicit PrimaryHarness(const std::string& wal_dir,
                           SourceWrapper wrap_source = nullptr)
-      : wal_dir_(std::move(wal_dir)) {
-    TierFixture& fixture = TierFixture::instance();
-    state_ = build_serving(fixture.base, fixture.bundle_bytes, wal_dir_);
-    scorer_ = std::make_unique<serve::BatchScorer>(
-        std::shared_ptr<const core::ForecastPipeline>(state_,
-                                                      &state_->pipeline));
-    state_->live->attach(scorer_.get());
-
-    PublisherHooks hooks;
-    hooks.digest_at = [this](std::uint64_t seq, std::uint64_t* out) {
-      const std::shared_ptr<Serving> s = current();
-      if (s->live->last_seq() != seq) return false;
-      *out = s->live->digest();
-      return s->live->last_seq() == seq;
-    };
-    publisher_ = std::make_unique<Publisher>(wal_dir_, hooks);
-    if (wrap_source) source_ = wrap_source(publisher_.get());
-
+      : primary_(TierFixture::instance().base,
+                 TierFixture::instance().bundle_bytes, {.wal_dir = wal_dir}) {
     net::ServerConfig config;
-    config.replication = source_ ? source_.get() : publisher_.get();
-    config.status_fn = [this] {
-      net::ReplicaStatusInfo info;
-      info.role = 1;
-      const std::shared_ptr<Serving> s = current();
-      info.applied_seq = info.head_seq = s->live->last_seq();
-      info.digest = s->live->digest();
-      return info;
-    };
-    config.batcher.read_guard = [this]() -> std::shared_ptr<void> {
-      std::shared_ptr<Serving> s = current();
-      struct Token {
-        std::shared_ptr<Serving> serving;
-        std::shared_ptr<void> guard;
-      };
-      auto token = std::make_shared<Token>();
-      token->guard = s->live->read_guard();
-      token->serving = std::move(s);
-      return token;
-    };
-    config.batcher.swap_fn =
-        [this](const std::string& path)
-        -> std::pair<std::uint64_t, std::uint64_t> {
-      std::ifstream in(path, std::ios::binary);
-      FORUMCAST_CHECK_MSG(in.good(), "cannot open model bundle: " << path);
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      std::lock_guard<std::mutex> feed_pause(ingest_mutex_);
-      auto next = build_serving(TierFixture::instance().base,
-                                std::move(buffer).str(), wal_dir_);
-      next->live->attach(scorer_.get());
-      std::shared_ptr<Serving> old;
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        old = state_;
-        state_ = next;
-      }
-      scorer_->swap_model(std::shared_ptr<const core::ForecastPipeline>(
-          next, &next->pipeline));
-      old->live->detach(scorer_.get());
-      return {scorer_->pipeline()->generation(), scorer_->swap_epoch()};
-    };
-    server_ = std::make_unique<net::Server>(*scorer_,
-                                            TierFixture::instance().base,
-                                            config);
+    primary_.configure(config);
+    if (wrap_source) {
+      source_ = wrap_source(config.replication);
+      config.replication = source_.get();
+    }
+    server_ = std::make_unique<net::Server>(
+        primary_.node().scorer(), TierFixture::instance().base, config);
     loop_ = std::thread([this] { server_->run(); });
   }
 
   ~PrimaryHarness() {
     server_->stop();
     if (loop_.joinable()) loop_.join();
-    current()->live->detach(scorer_.get());
   }
 
   void ingest(std::span<const stream::ForumEvent> events,
               std::size_t chunk = 37) {
     for (std::size_t begin = 0; begin < events.size(); begin += chunk) {
-      {
-        std::lock_guard<std::mutex> lock(ingest_mutex_);
-        current()->live->ingest(
-            events.subspan(begin, std::min(chunk, events.size() - begin)));
-      }
+      primary_.ingest(
+          events.subspan(begin, std::min(chunk, events.size() - begin)));
       server_->notify_replication();
     }
   }
 
-  std::shared_ptr<Serving> current() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    return state_;
-  }
-
-  std::uint64_t last_seq() const { return current()->live->last_seq(); }
-  std::uint64_t digest() const { return current()->live->digest(); }
-  serve::BatchScorer& scorer() { return *scorer_; }
-  net::Server& server() { return *server_; }
+  std::shared_ptr<NodeState> current() { return primary_.node().current(); }
+  std::uint64_t last_seq() { return primary_.node().applied_seq(); }
+  std::uint64_t digest() { return current()->live->digest(); }
+  serve::BatchScorer& scorer() { return primary_.node().scorer(); }
   std::uint16_t port() const { return server_->port(); }
   std::uint16_t replication_port() const {
     return server_->replication_port();
   }
 
  private:
-  std::string wal_dir_;
-  mutable std::mutex state_mutex_;
-  std::mutex ingest_mutex_;
-  std::shared_ptr<Serving> state_;
-  std::unique_ptr<serve::BatchScorer> scorer_;
-  std::unique_ptr<Publisher> publisher_;
+  Primary primary_;
   std::unique_ptr<net::ReplicationSource> source_;
   std::unique_ptr<net::Server> server_;
   std::thread loop_;
@@ -285,8 +191,7 @@ class FollowerHarness {
     if (serve) {
       FORUMCAST_CHECK(follower_->wait_serving(30000.0));
       net::ServerConfig config;
-      config.batcher.read_guard = follower_->read_guard_fn();
-      config.status_fn = follower_->status_fn();
+      follower_->configure(config);
       server_ = std::make_unique<net::Server>(follower_->scorer(),
                                               TierFixture::instance().base,
                                               config);

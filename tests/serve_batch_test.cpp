@@ -357,12 +357,14 @@ TEST(BatchScorer, ColdScoresRacingInvalidationAndSwapMatchColdScorer) {
 
   // Two cached questions: nearly every score builds its block cold.
   BatchScorer scorer(model_a, {.block_rows = 64, .max_cached_questions = 2});
+  CacheInvalidation drop_everything;
+  drop_everything.drop_all = true;
   std::atomic<bool> stop{false};
   std::thread mutator([&] {
     for (std::size_t round = 0; !stop.load(); ++round) {
       switch (round % 3) {
         case 0:
-          scorer.invalidate({.drop_all = true});
+          scorer.invalidate(drop_everything);
           break;
         case 1:
           scorer.invalidate({.users = {users[3], users[40]},

@@ -56,7 +56,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -75,7 +74,7 @@
 #include "obs/monitor/monitor.hpp"
 #include "obs/obs.hpp"
 #include "replica/follower.hpp"
-#include "replica/publisher.hpp"
+#include "replica/primary.hpp"
 #include "serve/batch_scorer.hpp"
 #include "stream/event_json.hpp"
 #include "stream/live_state.hpp"
@@ -100,6 +99,17 @@ forum::Dataset load_data(const Args& args) {
             << stats.answers << " answers, " << stats.distinct_users
             << " users\n";
   return dataset;
+}
+
+// The live-ingest commands load --data raw (no preprocessing): the event
+// stream references these ids.
+forum::Dataset load_raw_base(const Args& args) {
+  const std::string path = args.require("data");
+  std::cout << "loading " << path << "...\n";
+  auto base = forum::load_posts_csv(path);
+  std::cout << "loaded " << base.num_questions() << " questions, "
+            << base.num_users() << " users\n";
+  return base;
 }
 
 // --centrality-mode exact|sampled and --centrality-pivots N select how SLN
@@ -198,6 +208,24 @@ core::ForecastPipeline obtain_pipeline(const forum::Dataset& dataset,
   return pipeline;
 }
 
+/// The bundle an ingest run starts from: --model-in wins; else a bundle a
+/// previous run left in the WAL directory (a restart: the WAL replay then
+/// reapplies the streamed events on top); else "" — fit from scratch.
+std::string ingest_bundle_path(const Args& args, const std::string& wal_dir) {
+  const std::string model_in = args.get("model-in", "");
+  if (!model_in.empty() || wal_dir.empty()) return model_in;
+  const std::string left_behind = stream::model_bundle_path(wal_dir);
+  return std::filesystem::exists(left_behind) ? left_behind : std::string{};
+}
+
+void print_recovery(const stream::LiveState& live, const std::string& wal_dir) {
+  if (live.events_recovered() == 0) return;
+  std::cout << "recovered " << live.events_recovered() << " events from "
+            << wal_dir
+            << (live.recovered_truncated_tail() ? " (torn WAL tail)" : "")
+            << "\n";
+}
+
 /// Deterministic probe over both serving paths: three questions (first,
 /// middle, last) × up to 128 users scored through the batched engine, plus
 /// the scalar reference path for the leading users of each question —
@@ -266,6 +294,51 @@ void print_cache_stats(const serve::BatchScorer& scorer) {
             << stats.user_misses << " misses, question "
             << stats.question_hits << " hits / " << stats.question_misses
             << " misses, " << stats.invalidations << " invalidations\n";
+}
+
+// Every user except the question's asker.
+std::vector<forum::UserId> candidate_answerers(const forum::Dataset& dataset,
+                                               forum::QuestionId question) {
+  std::vector<forum::UserId> candidates;
+  candidates.reserve(dataset.num_users());
+  for (forum::UserId u = 0; u < dataset.num_users(); ++u) {
+    if (u == dataset.thread(question).question.creator) continue;
+    candidates.push_back(u);
+  }
+  return candidates;
+}
+
+// Prints the --top candidates by P(answer); predictions[i] scores
+// candidates[i].
+void print_top_table(const std::string& title,
+                     const std::vector<forum::UserId>& candidates,
+                     const std::vector<core::Prediction>& predictions,
+                     const Args& args) {
+  const auto top_k = args.get_int<std::size_t>("top", 10);
+  struct Scored {
+    forum::UserId user;
+    core::Prediction prediction;
+  };
+  std::vector<Scored> scored;
+  scored.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    scored.push_back({candidates[i], predictions[i]});
+  }
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(top_k, scored.size())),
+                    scored.end(), [](const Scored& a, const Scored& b) {
+                      return a.prediction.answer_probability >
+                             b.prediction.answer_probability;
+                    });
+  util::Table table(title, {"user", "P(answer)", "votes", "delay (h)"});
+  for (std::size_t i = 0; i < std::min(top_k, scored.size()); ++i) {
+    table.add_row({std::to_string(scored[i].user),
+                   util::Table::num(scored[i].prediction.answer_probability),
+                   util::Table::num(scored[i].prediction.votes, 2),
+                   util::Table::num(scored[i].prediction.delay_hours, 2)});
+  }
+  table.print(std::cout);
 }
 
 int cmd_generate(const Args& args) {
@@ -377,40 +450,19 @@ int cmd_ingest(const Args& args) {
     // feed thread streams the events in.
     return run_ingest_daemon(args);
   }
-  const std::string path = args.require("data");
-  std::cout << "loading " << path << "...\n";
-  // Raw load (no preprocessing): the event stream references these ids.
-  auto dataset = forum::load_posts_csv(path);
-  std::cout << "loaded " << dataset.num_questions() << " questions, "
-            << dataset.num_users() << " users\n";
+  auto dataset = load_raw_base(args);
 
-  // Bundle-aware recovery: an explicit --model-in wins; otherwise a bundle
-  // a previous run left in the WAL directory restores the fit-time models
-  // and the WAL replay reapplies the streamed events on top. Only fitting
-  // from scratch when neither exists.
-  std::string model_in = args.get("model-in", "");
   const std::string wal_dir = args.get("wal-dir", "");
-  if (model_in.empty() && !wal_dir.empty() &&
-      std::filesystem::exists(stream::model_bundle_path(wal_dir))) {
-    model_in = stream::model_bundle_path(wal_dir);
-  }
-  core::ForecastPipeline pipeline;
-  if (!model_in.empty()) {
-    pipeline = load_bundle(dataset, model_in);
-  } else {
-    pipeline = fit_all_questions(dataset, args);
-  }
+  const std::string model_in = ingest_bundle_path(args, wal_dir);
+  core::ForecastPipeline pipeline = model_in.empty()
+                                        ? fit_all_questions(dataset, args)
+                                        : load_bundle(dataset, model_in);
 
   stream::LiveStateConfig live_config;
   live_config.wal_dir = wal_dir;
   live_config.snapshot_every = args.get_int<std::size_t>("snapshot-every", 0);
   stream::LiveState live(pipeline, dataset, live_config);
-  if (live.events_recovered() > 0) {
-    std::cout << "recovered " << live.events_recovered()
-              << " events from " << live_config.wal_dir
-              << (live.recovered_truncated_tail() ? " (torn WAL tail)" : "")
-              << "\n";
-  }
+  print_recovery(live, wal_dir);
 
   serve::BatchScorer scorer(pipeline, scorer_config(args));
   live.attach(&scorer);
@@ -486,34 +538,10 @@ int cmd_ingest(const Args& args) {
                             dataset.num_questions(),
                         "question " << question << " out of range");
     const auto q = static_cast<forum::QuestionId>(question);
-    std::vector<forum::UserId> candidates;
-    candidates.reserve(dataset.num_users());
-    for (forum::UserId u = 0; u < dataset.num_users(); ++u) {
-      if (u == dataset.thread(q).question.creator) continue;
-      candidates.push_back(u);
-    }
-    const auto predictions = live.score(scorer, q, candidates);
-    const auto top_k = args.get_int<std::size_t>("top", 10);
-    std::vector<std::size_t> order(candidates.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(
-                                          std::min(top_k, order.size())),
-                      order.end(), [&](std::size_t a, std::size_t b) {
-                        return predictions[a].answer_probability >
-                               predictions[b].answer_probability;
-                      });
-    util::Table table("top candidate answerers for question " +
-                          std::to_string(q) + " (post-ingest)",
-                      {"user", "P(answer)", "votes", "delay (h)"});
-    for (std::size_t i = 0; i < std::min(top_k, order.size()); ++i) {
-      const auto& p = predictions[order[i]];
-      table.add_row({std::to_string(candidates[order[i]]),
-                     util::Table::num(p.answer_probability),
-                     util::Table::num(p.votes, 2),
-                     util::Table::num(p.delay_hours, 2)});
-    }
-    table.print(std::cout);
+    const auto candidates = candidate_answerers(dataset, q);
+    print_top_table("top candidate answerers for question " +
+                        std::to_string(q) + " (post-ingest)",
+                    candidates, live.score(scorer, q, candidates), args);
   }
   if (monitor) {
     const auto report = monitor->evaluate_now(last_event_time);
@@ -548,43 +576,11 @@ int cmd_stats(const Args& args) {
 void print_top_candidates(const forum::Dataset& dataset,
                           const core::ForecastPipeline& pipeline,
                           const Args& args, forum::QuestionId question) {
-  const auto top_k = args.get_int<std::size_t>("top", 10);
-
-  std::vector<forum::UserId> candidates;
-  candidates.reserve(dataset.num_users());
-  for (forum::UserId u = 0; u < dataset.num_users(); ++u) {
-    if (u == dataset.thread(question).question.creator) continue;
-    candidates.push_back(u);
-  }
+  const auto candidates = candidate_answerers(dataset, question);
   const serve::BatchScorer scorer(pipeline, scorer_config(args));
-  const auto predictions = scorer.score(question, candidates);
-
-  struct Scored {
-    forum::UserId user;
-    core::Prediction prediction;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scored.push_back({candidates[i], predictions[i]});
-  }
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(top_k, scored.size())),
-                    scored.end(), [](const Scored& a, const Scored& b) {
-                      return a.prediction.answer_probability >
-                             b.prediction.answer_probability;
-                    });
-  util::Table table("top candidate answerers for question " +
-                        std::to_string(question),
-                    {"user", "P(answer)", "votes", "delay (h)"});
-  for (std::size_t i = 0; i < std::min(top_k, scored.size()); ++i) {
-    table.add_row({std::to_string(scored[i].user),
-                   util::Table::num(scored[i].prediction.answer_probability),
-                   util::Table::num(scored[i].prediction.votes, 2),
-                   util::Table::num(scored[i].prediction.delay_hours, 2)});
-  }
-  table.print(std::cout);
+  print_top_table(
+      "top candidate answerers for question " + std::to_string(question),
+      candidates, scorer.score(question, candidates), args);
   print_cache_stats(scorer);
 }
 
@@ -613,6 +609,18 @@ std::atomic<net::Server*> g_listen_server{nullptr};
 extern "C" void handle_stop_signal(int) {
   net::Server* server = g_listen_server.load(std::memory_order_acquire);
   if (server != nullptr) server->stop();
+}
+
+// Runs `server` until a shutdown request or SIGINT/SIGTERM drains it, then
+// restores the default signal dispositions.
+void serve_until_stopped(net::Server& server) {
+  g_listen_server.store(&server, std::memory_order_release);
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
+  server.run();
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+  g_listen_server.store(nullptr, std::memory_order_release);
 }
 
 // Publishes a bound port atomically (tmp + rename): a poller either sees no
@@ -653,41 +661,10 @@ int run_daemon(const forum::Dataset& dataset, core::ForecastPipeline&& owned,
   publish_port_file(args.get("port-file", ""), server.port());
   std::cout << "listening on port " << server.port() << std::endl;
 
-  g_listen_server.store(&server, std::memory_order_release);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  server.run();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_listen_server.store(nullptr, std::memory_order_release);
+  serve_until_stopped(server);
 
   std::cout << "served " << server.requests_seen() << " requests\n";
   return 0;
-}
-
-/// One rebuildable unit of primary serving state (the follower's Serving
-/// twin): the pipeline references the dataset *member*, so the whole struct
-/// lives on the heap behind a shared_ptr and aliasing pointers into
-/// `pipeline` keep every in-flight read valid across swap installs.
-struct PrimaryState {
-  forum::Dataset dataset;
-  core::ForecastPipeline pipeline;
-  std::unique_ptr<stream::LiveState> live;
-};
-
-std::shared_ptr<PrimaryState> build_primary_state(
-    const forum::Dataset& base, const std::string& bundle_bytes,
-    const stream::LiveStateConfig& live_config) {
-  auto state = std::make_shared<PrimaryState>();
-  state->dataset = base;
-  std::istringstream in(bundle_bytes);
-  state->pipeline = core::ForecastPipeline::load(in, state->dataset);
-  // Replays wal_dir's recovered log (snapshot + WAL) on top of the bundle,
-  // so a swap rebuild lands at the same seq the retiring state reached.
-  state->live = std::make_unique<stream::LiveState>(state->pipeline,
-                                                    state->dataset,
-                                                    live_config);
-  return state;
 }
 
 // `forumcast ingest --listen P --replisten R`: the primary of a replicated
@@ -699,33 +676,19 @@ std::shared_ptr<PrimaryState> build_primary_state(
 // state (base dataset + new bundle + WAL replay) and broadcasts kModelSwap
 // so followers re-fetch and rebuild too.
 int run_ingest_daemon(const Args& args) {
-  const std::string data_path = args.require("data");
-  std::cout << "loading " << data_path << "...\n";
-  // Raw load (no preprocessing): the event stream references these ids.
-  const auto base = forum::load_posts_csv(data_path);
-  std::cout << "loaded " << base.num_questions() << " questions, "
-            << base.num_users() << " users\n";
+  const auto base = load_raw_base(args);
 
   // Replication ships the durable log, so the primary daemon requires one.
   const std::string wal_dir = args.require("wal-dir");
   std::filesystem::create_directories(wal_dir);
 
-  // Bundle bytes: --model-in wins; else a bundle a previous run left in the
-  // WAL directory (restart); else fit from scratch. Serving state is always
-  // built bundle-first — the exact path a swap rebuild and a follower
-  // bootstrap take — so all three start bit-identical.
-  std::string model_in = args.get("model-in", "");
-  if (model_in.empty() &&
-      std::filesystem::exists(stream::model_bundle_path(wal_dir))) {
-    model_in = stream::model_bundle_path(wal_dir);
-  }
+  // Serving state is always built bundle-first — the exact path a swap
+  // rebuild and a follower bootstrap take — so all three start
+  // bit-identical.
+  const std::string model_in = ingest_bundle_path(args, wal_dir);
   std::string bundle_bytes;
   if (!model_in.empty()) {
-    std::ifstream in(model_in, std::ios::binary);
-    FORUMCAST_CHECK_MSG(in.good(), "cannot open model bundle: " << model_in);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bundle_bytes = std::move(buffer).str();
+    bundle_bytes = replica::read_bundle_file(model_in);
     std::cout << "using model bundle " << model_in << " ("
               << bundle_bytes.size() << " bytes)\n";
   } else {
@@ -737,99 +700,14 @@ int run_ingest_daemon(const Args& args) {
   stream::LiveStateConfig live_config;
   live_config.wal_dir = wal_dir;
   live_config.snapshot_every = args.get_int<std::size_t>("snapshot-every", 0);
-
-  // state_mutex guards the current-state pointer (cheap, taken everywhere);
-  // ingest_mutex serializes the feed thread against swap rebuilds (a WAL
-  // replay racing a concurrent append would tear the durable head).
-  std::mutex state_mutex;
-  std::mutex ingest_mutex;
-  std::shared_ptr<PrimaryState> state =
-      build_primary_state(base, bundle_bytes, live_config);
-  if (state->live->events_recovered() > 0) {
-    std::cout << "recovered " << state->live->events_recovered()
-              << " events from " << wal_dir
-              << (state->live->recovered_truncated_tail() ? " (torn WAL tail)"
-                                                          : "")
-              << "\n";
-  }
-  auto current = [&] {
-    std::lock_guard<std::mutex> lock(state_mutex);
-    return state;
-  };
-
-  serve::BatchScorer scorer(
-      std::shared_ptr<const core::ForecastPipeline>(state, &state->pipeline),
-      scorer_config(args));
-  state->live->attach(&scorer);
-
-  replica::PublisherHooks hooks;
-  hooks.digest_at = [&](std::uint64_t seq, std::uint64_t* out) {
-    // check → digest → re-check, each with its own reader-lock acquisition
-    // (never nested: LiveState's writer-priority lock would deadlock a
-    // nested reader). Seqs are monotonic, so equal before and after means
-    // the digest describes exactly `seq`.
-    const std::shared_ptr<PrimaryState> s = current();
-    if (s->live->last_seq() != seq) return false;
-    *out = s->live->digest();
-    return s->live->last_seq() == seq;
-  };
-  replica::Publisher publisher(wal_dir, hooks);
+  replica::Primary primary(base, bundle_bytes, live_config,
+                           scorer_config(args));
+  print_recovery(*primary.node().current()->live, wal_dir);
 
   net::ServerConfig config = daemon_server_config(args);
-  config.replication = &publisher;
+  primary.configure(config);
   config.replication_port = args.get_listen_port("replisten");
-  config.status_fn = [&] {
-    net::ReplicaStatusInfo info;
-    info.role = 1;
-    const std::shared_ptr<PrimaryState> s = current();
-    for (;;) {  // retry until seq is stable around the digest read
-      const std::uint64_t seq = s->live->last_seq();
-      const std::uint64_t digest = s->live->digest();
-      if (s->live->last_seq() == seq) {
-        info.applied_seq = info.head_seq = seq;
-        info.digest = digest;
-        return info;
-      }
-    }
-  };
-  config.batcher.read_guard = [&]() -> std::shared_ptr<void> {
-    std::shared_ptr<PrimaryState> s = current();
-    // The token pins the Serving state (a swap can't free it) and the
-    // LiveState reader lock (the feed thread can't mutate under the read).
-    struct Token {
-      std::shared_ptr<PrimaryState> state;
-      std::shared_ptr<void> guard;
-    };
-    auto token = std::make_shared<Token>();
-    token->guard = s->live->read_guard();
-    token->state = std::move(s);
-    return token;
-  };
-  config.batcher.swap_fn =
-      [&](const std::string& path) -> std::pair<std::uint64_t, std::uint64_t> {
-    std::ifstream in(path, std::ios::binary);
-    FORUMCAST_CHECK_MSG(in.good(), "cannot open model bundle: " << path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string bytes = std::move(buffer).str();
-    std::lock_guard<std::mutex> feed_pause(ingest_mutex);
-    auto next = build_primary_state(base, bytes, live_config);
-    next->live->attach(&scorer);
-    std::shared_ptr<PrimaryState> old;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex);
-      old = state;
-      state = next;
-    }
-    scorer.swap_model(std::shared_ptr<const core::ForecastPipeline>(
-        next, &next->pipeline));
-    old->live->detach(&scorer);
-    // The rebuild's LiveState rewrote wal_dir/model.fcm with the new
-    // bundle, so followers re-fetching after the kModelSwap broadcast (the
-    // server's on_swap hook sends it when this returns) get the new model.
-    return {scorer.pipeline()->generation(), scorer.swap_epoch()};
-  };
-  net::Server server(scorer, base, config);
+  net::Server server(primary.node().scorer(), base, config);
 
   publish_port_file(args.get("port-file", ""), server.port());
   publish_port_file(args.get("repl-port-file", ""), server.replication_port());
@@ -853,11 +731,8 @@ int run_ingest_daemon(const Args& args) {
            begin < events.size() && !feed_stop.load(std::memory_order_acquire);
            begin += chunk) {
         const std::size_t n = std::min(chunk, events.size() - begin);
-        {
-          std::lock_guard<std::mutex> lock(ingest_mutex);
-          applied += current()->live->ingest(
-              std::span<const stream::ForumEvent>(events).subspan(begin, n));
-        }
+        applied += primary.ingest(
+            std::span<const stream::ForumEvent>(events).subspan(begin, n));
         server.notify_replication();
         if (delay_ms > 0) {
           std::this_thread::sleep_for(
@@ -866,21 +741,14 @@ int run_ingest_daemon(const Args& args) {
       }
       // Smoke tests key on this marker to know the stream has fully landed.
       std::cout << "feed complete: " << applied << " events (seq "
-                << current()->live->last_seq() << ")" << std::endl;
+                << primary.node().applied_seq() << ")" << std::endl;
     });
   }
 
-  g_listen_server.store(&server, std::memory_order_release);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  server.run();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_listen_server.store(nullptr, std::memory_order_release);
+  serve_until_stopped(server);
 
   feed_stop.store(true, std::memory_order_release);
   if (feed.joinable()) feed.join();
-  current()->live->detach(&scorer);
   std::cout << "served " << server.requests_seen() << " requests\n";
   return 0;
 }
@@ -890,12 +758,8 @@ int run_ingest_daemon(const Args& args) {
 // tails the WAL stream on a background thread, and serves reads on its own
 // port through the same daemon the primary uses.
 int cmd_replica(const Args& args) {
-  const std::string data_path = args.require("data");
-  std::cout << "loading " << data_path << "...\n";
   // Same raw base snapshot the primary ingests on top of.
-  const auto base = forum::load_posts_csv(data_path);
-  std::cout << "loaded " << base.num_questions() << " questions, "
-            << base.num_users() << " users\n";
+  const auto base = load_raw_base(args);
 
   replica::FollowerConfig follower_config;
   follower_config.primary_host = args.get("primary-host", "127.0.0.1");
@@ -926,29 +790,14 @@ int cmd_replica(const Args& args) {
   }
 
   net::ServerConfig config = daemon_server_config(args);
-  config.batcher.read_guard = follower.read_guard_fn();
-  config.status_fn = follower.status_fn();
-  // Followers are read-only: models arrive by primary broadcast, never by a
-  // client swap (which would silently fork the replica from the tier).
-  config.batcher.swap_fn =
-      [](const std::string&) -> std::pair<std::uint64_t, std::uint64_t> {
-    throw std::runtime_error(
-        "followers do not accept swaps; swap the primary and the tier "
-        "propagates it");
-  };
+  follower.configure(config);
   net::Server server(follower.scorer(), base, config);
 
   publish_port_file(args.get("port-file", ""), server.port());
   std::cout << "follower serving on port " << server.port() << " (applied seq "
             << follower.applied_seq() << ")" << std::endl;
 
-  g_listen_server.store(&server, std::memory_order_release);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  server.run();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_listen_server.store(nullptr, std::memory_order_release);
+  serve_until_stopped(server);
 
   follower.stop();
   tail.join();
