@@ -428,25 +428,6 @@ TEST(FeatureCache, HotQuestionSurvivesCapPlusOneMisses) {
   EXPECT_EQ(stats.question_evictions, 2u);
 }
 
-TEST(FeatureCache, EvictedBlockStorageIsRecycled) {
-  auto& fixture = ServeFixture::instance();
-  FeatureCache cache(1);
-  cache.sync(fixture.pipeline.extractor(), fixture.dataset,
-             fixture.pipeline.generation());
-  const double* storage = cache.question_block(0)->similarity.data();
-  cache.question_block(1);  // evicts block 0; nobody else holds it
-  const auto reused = cache.question_block(2);
-  EXPECT_EQ(reused->similarity.data(), storage);
-  // The recycled block is rebuilt in full: same bits as a fresh cache's.
-  FeatureCache fresh(1);
-  fresh.sync(fixture.pipeline.extractor(), fixture.dataset,
-             fixture.pipeline.generation());
-  const auto expected = fresh.question_block(2);
-  EXPECT_EQ(reused->similarity, expected->similarity);
-  EXPECT_EQ(reused->weighted_votes, expected->weighted_votes);
-  EXPECT_EQ(reused->ra_dense, expected->ra_dense);
-}
-
 TEST(BatchScorer, ValidatesArguments) {
   auto& fixture = ServeFixture::instance();
   core::ForecastPipeline unfitted;

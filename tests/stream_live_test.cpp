@@ -320,6 +320,88 @@ TEST(StreamLive, FineGrainedInvalidationMatchesColdCache) {
   live.detach(&warm);
 }
 
+TEST(StreamLive, DirtyUserKeepsSurvivingBlockAndMatchesColdCache) {
+  // A vote on someone else's thread moves its answerer's aggregates and
+  // pair terms but nothing about question q: q's block carries no per-user
+  // data, so invalidation keeps the very same block, and rows assembled
+  // from it read the answerer's new pair terms from the extractor.
+  LiveCase c;
+  LiveState live(c.pipeline, c.base);
+  serve::BatchScorer warm(c.pipeline);
+  live.attach(&warm);
+  const auto users = all_users(c.base);
+  const forum::QuestionId q =
+      static_cast<forum::QuestionId>(c.base.num_questions() / 2);
+  const forum::UserId asker = c.base.thread(q).question.creator;
+
+  // The first other thread with an answer by someone other than q's asker
+  // who has also answered a third question (so TopicWeightedAnswerVotes,
+  // a pair term, moves with the vote).
+  forum::QuestionId voted = 0;
+  forum::UserId u = 0;
+  bool found = false;
+  for (forum::QuestionId t = 0; t < c.base.num_questions() && !found; ++t) {
+    const auto& answers = c.base.thread(t).answers;
+    if (t == q || answers.empty()) continue;
+    const forum::UserId creator = answers[0].creator;
+    if (creator != asker &&
+        c.pipeline.extractor().user_stats(creator).answered.size() >= 2) {
+      voted = t;
+      u = creator;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found);
+
+  serve::FeatureCache cache;
+  cache.sync(c.pipeline.extractor(), c.base, c.pipeline.generation());
+  const auto block = cache.question_block(q);
+  const std::size_t dim = cache.dimension();
+  std::vector<double> before(dim);
+  cache.assemble(u, *block, before);
+  live.score(warm, q, users);
+
+  ForumEvent vote;
+  vote.type = EventType::kVote;
+  vote.timestamp_hours = c.events.front().timestamp_hours;
+  vote.question = voted;
+  vote.answer_index = 0;
+  vote.vote_delta = 7;
+  live.ingest({{vote}});
+  serve::CacheInvalidation dirty;
+  dirty.users = {u};
+  cache.invalidate(dirty);
+
+  EXPECT_EQ(cache.question_block(q).get(), block.get());
+  serve::FeatureCache cold_cache;
+  cold_cache.sync(c.pipeline.extractor(), c.base, c.pipeline.generation());
+  const auto cold_block = cold_cache.question_block(q);
+  std::vector<double> row(dim), cold_row(dim);
+  for (const forum::UserId v : users) {
+    cache.assemble(v, *block, row);
+    cold_cache.assemble(v, *cold_block, cold_row);
+    ASSERT_EQ(row, cold_row) << "u=" << v;
+  }
+  cache.assemble(u, *block, row);
+  EXPECT_NE(row, before) << "the vote must move u's row for the test to bite";
+  EXPECT_EQ(row, c.pipeline.extractor().features(u, q));
+
+  // The attached scorer saw the same invalidation: its next score of q is a
+  // cache hit and equals a cold scorer's bit for bit.
+  const auto hits_before = warm.cache_stats().question_hits;
+  const auto warm_scores = live.score(warm, q, users);
+  EXPECT_EQ(warm.cache_stats().question_hits, hits_before + 1);
+  serve::BatchScorer cold(c.pipeline);
+  const auto cold_scores = live.score(cold, q, users);
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    ASSERT_EQ(warm_scores[i].answer_probability,
+              cold_scores[i].answer_probability);
+    ASSERT_EQ(warm_scores[i].votes, cold_scores[i].votes);
+    ASSERT_EQ(warm_scores[i].delay_hours, cold_scores[i].delay_hours);
+  }
+  live.detach(&warm);
+}
+
 TEST(StreamLive, KillAndRestoreReplaysWalToSameDigest) {
   const std::string dir = fresh_dir("live_wal");
   std::uint64_t digest_before = 0;
