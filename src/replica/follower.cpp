@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
-#include <sstream>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -19,14 +19,6 @@ namespace forumcast::replica {
 
 namespace {
 
-std::string fault_text(std::uint64_t seq, std::uint64_t expected,
-                       std::uint64_t actual) {
-  std::ostringstream out;
-  out << "replica state divergence at seq " << seq << ": primary digest "
-      << expected << ", local digest " << actual;
-  return std::move(out).str();
-}
-
 bool poll_until(const std::function<bool()>& done, double timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -39,13 +31,6 @@ bool poll_until(const std::function<bool()>& done, double timeout_ms) {
 }
 
 }  // namespace
-
-DivergenceFault::DivergenceFault(std::uint64_t seq, std::uint64_t expected,
-                                 std::uint64_t actual)
-    : std::runtime_error(fault_text(seq, expected, actual)),
-      seq_(seq),
-      expected_(expected),
-      actual_(actual) {}
 
 Follower::Follower(const forum::Dataset& base, FollowerConfig config)
     : config_(std::move(config)),
@@ -210,8 +195,10 @@ void Follower::handle_batch(net::Client& client, const net::Message& batch) {
     if (local != batch.digest) {
       divergences_.fetch_add(1, std::memory_order_acq_rel);
       FORUMCAST_COUNTER_ADD("replica.divergences", 1);
-      const DivergenceFault fault(batch.last_seq, batch.digest, local);
-      FORUMCAST_LOG_WARN << fault.what() << "; resyncing from snapshot";
+      FORUMCAST_LOG_WARN << "replica state divergence at seq "
+                         << batch.last_seq << ": primary digest "
+                         << batch.digest << ", local digest " << local
+                         << "; resyncing from snapshot";
       begin_resync(client);
     }
   }

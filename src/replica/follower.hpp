@@ -12,8 +12,7 @@
 //         ──► heartbeat on idle; track the primary's head for lag metrics
 //
 // Divergence: when a span carries the primary's digest at its last seq and
-// the follower's digest disagrees, that is a DivergenceFault — the follower
-// wipes its local log, re-fetches the bundle, and replays from 0 (resync).
+// the follower's digest disagrees, the follower logs both digests, wipes its local log, re-fetches the bundle, and replays from 0 (resync).
 // The serving state stays readable throughout; reads only move to the
 // rebuilt state at the atomic install.
 //
@@ -27,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 
 #include "forum/dataset.hpp"
@@ -38,23 +36,6 @@
 #include "serve/batch_scorer.hpp"
 
 namespace forumcast::replica {
-
-/// State divergence detected by the digest exchange: the follower applied
-/// the same event sequence as the primary but its feature state digests
-/// differently. Handled internally by resync; exposed for tests and logs.
-class DivergenceFault : public std::runtime_error {
- public:
-  DivergenceFault(std::uint64_t seq, std::uint64_t expected,
-                  std::uint64_t actual);
-  std::uint64_t seq() const { return seq_; }
-  std::uint64_t expected_digest() const { return expected_; }
-  std::uint64_t actual_digest() const { return actual_; }
-
- private:
-  std::uint64_t seq_;
-  std::uint64_t expected_;
-  std::uint64_t actual_;
-};
 
 struct FollowerConfig {
   std::string primary_host = "127.0.0.1";
