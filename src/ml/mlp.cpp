@@ -93,8 +93,7 @@ std::vector<double> Mlp::forward(std::span<const double> x) const {
       }
       pre[u] = accum;
     }
-    const Activation activation = layers_[l].activation;
-    for (std::size_t u = 0; u < units; ++u) pre[u] = activate(activation, pre[u]);
+    activate_in_place(layers_[l].activation, pre, units);
     current = pre;
   }
   return std::vector<double>(current, current + output_dim());
@@ -133,9 +132,8 @@ std::vector<double> Mlp::forward(std::span<const double> x, Tape& tape) const {
       pre[u] = accum;
     }
     std::span<double> post = tape.post_mut(l);
-    for (std::size_t u = 0; u < units; ++u) {
-      post[u] = activate(layers_[l].activation, pre[u]);
-    }
+    std::copy(pre.begin(), pre.end(), post.begin());
+    activate_in_place(layers_[l].activation, post.data(), units);
     current = post.data();
   }
   return std::vector<double>(current, current + output_dim());
@@ -165,10 +163,11 @@ void Mlp::forward_batch_into(Tensor<const double> x, Tensor<double> out) const {
             params_.data() + weight_offset_[l], in_dim,
             params_.data() + bias_offset_[l], next.data(), next.stride());
     const Activation activation = layers_[l].activation;
-    for (std::size_t r = 0; r < next.rows(); ++r) {
-      double* values = next.row(r).data();
-      for (std::size_t c = 0; c < units; ++c) {
-        values[c] = activate(activation, values[c]);
+    if (next.stride() == units) {
+      activate_in_place(activation, next.data(), next.rows() * units);
+    } else {
+      for (std::size_t r = 0; r < next.rows(); ++r) {
+        activate_in_place(activation, next.row(r).data(), units);
       }
     }
     source = next;
@@ -279,11 +278,9 @@ Tensor<const double> Mlp::forward_batch(const Matrix& x, BatchTape& tape) const 
             params_.data() + weight_offset_[l], in_dim,
             params_.data() + bias_offset_[l], pre.data(), pre.stride());
     Tensor<double> post = tape.post_mut(l);
-    const Activation activation = layers_[l].activation;
-    const double* src = pre.data();
-    double* dst = post.data();
     const std::size_t count = pre.rows() * pre.cols();
-    for (std::size_t i = 0; i < count; ++i) dst[i] = activate(activation, src[i]);
+    std::copy(pre.data(), pre.data() + count, post.data());
+    activate_in_place(layers_[l].activation, post.data(), count);
     source = post;
   }
   return tape.post(layers_.size() - 1);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ml/activations.hpp"
@@ -14,6 +17,12 @@ namespace forumcast::ml {
 namespace {
 
 // ---------- activations ----------
+
+// One value through the library's activation entry point.
+double activate(Activation act, double pre) {
+  activate_in_place(act, &pre, 1);
+  return pre;
+}
 
 TEST(Activations, Values) {
   EXPECT_DOUBLE_EQ(activate(Activation::Identity, -2.0), -2.0);
@@ -66,6 +75,96 @@ TEST(Activations, CachedDerivativeBitEqualToRecompute) {
       EXPECT_EQ(activate_derivative_cached(act, pre, activate(act, pre)),
                 activate_derivative(act, pre))
           << activation_name(act) << " at " << pre;
+    }
+  }
+}
+
+// ml::tanh against the x87 long-double tanhl: log-spaced magnitudes from the
+// smallest subnormal to past the ±1 plateau, a uniform sweep of the range
+// the networks live in, and the special values.
+TEST(Activations, TanhWithin1e15OfLongDouble) {
+  std::vector<double> points = {0.0, -0.0, 20.0, -20.0, 19.06, 25.0, 710.0,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                0.34657359027997264,  // ln2 / 2: k steps 0 → 1
+                                0x1p-27, 0x1p-26};
+  constexpr int kLogPoints = 600000;
+  for (int i = 0; i <= kLogPoints; ++i) {
+    const double x = std::exp2(-1074.0 + 1080.0 * i / kLogPoints);
+    points.push_back(x);
+    points.push_back(-x);
+  }
+  constexpr int kUniformPoints = 400000;
+  for (int i = 0; i <= kUniformPoints; ++i) {
+    points.push_back(-25.0 + 50.0 * i / kUniformPoints);
+  }
+  ASSERT_GE(points.size(), 1000000u);
+
+  double worst = 0.0, worst_x = 0.0;
+  for (const double x : points) {
+    const double got = tanh(x);
+    const long double want = tanhl(static_cast<long double>(x));
+    if (want == 0.0L) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(x))
+          << "x = " << x;
+      continue;
+    }
+    const double rel = static_cast<double>(
+        std::fabs((static_cast<long double>(got) - want) / want));
+    if (rel > worst) {
+      worst = rel;
+      worst_x = x;
+    }
+    ASSERT_EQ(std::signbit(got), std::signbit(x)) << "x = " << x;
+  }
+  EXPECT_LE(worst, 1e-15) << "worst at x = " << worst_x;
+  EXPECT_EQ(tanh(std::numeric_limits<double>::infinity()), 1.0);
+  EXPECT_EQ(tanh(-std::numeric_limits<double>::infinity()), -1.0);
+  EXPECT_TRUE(std::isnan(tanh(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(tanh(-std::numeric_limits<double>::quiet_NaN())));
+}
+
+// activate_in_place is the scalar function element for element, bit for
+// bit: the four-lane tanh body and its scalar tail included, from every
+// start offset and at every length through three full vectors plus a tail.
+TEST(Activations, InPlaceBitEqualToScalarAtEveryLength) {
+  const auto scalar = [](Activation act, double x) {
+    switch (act) {
+      case Activation::Identity: return x;
+      case Activation::ReLU: return x > 0.0 ? x : 0.0;
+      case Activation::Tanh: return tanh(x);
+      case Activation::Sigmoid: return sigmoid(x);
+      case Activation::Softplus: return softplus(x);
+    }
+    return x;
+  };
+  util::Rng rng(41);
+  std::vector<double> source(20);
+  for (double& v : source) v = rng.uniform(-6.0, 6.0);
+  source[2] = -0.0;
+  source[5] = 23.0;
+  source[11] = std::numeric_limits<double>::quiet_NaN();
+  source[13] = 1e-310;
+  for (Activation act :
+       {Activation::Identity, Activation::ReLU, Activation::Tanh,
+        Activation::Sigmoid, Activation::Softplus}) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t n = 1; n <= 13; ++n) {
+        std::vector<double> values(source.begin() + offset,
+                                   source.begin() + offset + n);
+        activate_in_place(act, values.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double x = source[offset + i];
+          const double want = scalar(act, x);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(values[i]),
+                    std::bit_cast<std::uint64_t>(want))
+              << activation_name(act) << " n=" << n << " offset=" << offset
+              << " i=" << i << " x=" << x;
+        }
+      }
     }
   }
 }
