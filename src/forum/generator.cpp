@@ -34,9 +34,6 @@ std::vector<std::vector<double>> make_topic_word_dists(std::size_t num_topics,
   return phi;
 }
 
-// Synthetic vocabulary token; alphanumeric so the tokenizer keeps it intact.
-std::string word_token(std::size_t index) { return "w" + std::to_string(index); }
-
 // Emits `char_budget` characters of topic-conditioned prose.
 std::string emit_words(std::span<const double> topic_mix,
                        const std::vector<std::vector<double>>& phi,
@@ -46,7 +43,11 @@ std::string emit_words(std::span<const double> topic_mix,
     const std::size_t k = rng.categorical(topic_mix);
     const std::size_t w = rng.categorical(phi[k]);
     if (!text.empty()) text += ' ';
-    text += word_token(w);
+    // Synthetic vocabulary token "w<index>": alphanumeric, so the tokenizer
+    // keeps it intact. Appended piecewise: GCC 12 flags the prepend in
+    // `"w" + std::to_string(w)` with a false -Wrestrict in Release.
+    text += 'w';
+    text += std::to_string(w);
   }
   return text;
 }

@@ -50,12 +50,14 @@ class Matrix {
 };
 
 /// One accumulation step acc + a·b with the floating-point contraction pinned
-/// at the source: a single rounding (true FMA) when the target has FMA
-/// hardware, mul-then-add otherwise. The scalar Mlp::forward loop and every
-/// gemm_nt variant below accumulate through this helper (or its SIMD
-/// equivalent), so batch and scalar paths make the same rounding decisions
-/// and stay bit-identical even when the compiler would otherwise contract
-/// one path but not the other.
+/// at the source: a single rounding (true FMA) when the build targets FMA
+/// hardware (FORUMCAST_NATIVE on such a host), mul-then-add otherwise. The
+/// scalar Mlp::forward loop and every GEMM below accumulate through this
+/// helper (or its four-lane equivalent), so batch and scalar paths make the
+/// same rounding decisions and stay bit-identical even when the compiler
+/// would otherwise contract one path but not the other. In a portable build
+/// nothing contracts, which is what lets the wider kernel sets of
+/// ml/kernels.hpp give the baseline's bits.
 inline double fmadd(double a, double b, double acc) {
 #ifdef __FMA__
   return __builtin_fma(a, b, acc);
@@ -67,10 +69,13 @@ inline double fmadd(double a, double b, double acc) {
 /// Blocked GEMM kernel: C(n×m) = A(n×k) · B(m×k)^T, C[i][j] += bias[j] first
 /// when `bias` is non-null. Row strides are lda/ldb/ldc. B's rows play the
 /// role of weight vectors, so for each output the k-loop accumulates in
-/// ascending order — bit-identical to a scalar dot product. The kernel is
-/// register-blocked four columns wide: one pass over an A row feeds four
-/// independent accumulators, which hides FP latency and quarters the A-row
-/// load traffic without reordering any per-element sum.
+/// ascending order — bit-identical to a scalar dot product. B is repacked
+/// per call into four-column k-major panels that a 4-row × 4-column
+/// micro-kernel sweeps: independent row chains hide FP latency without
+/// reordering any per-element sum. This and the two GEMMs below run the
+/// process's kernel set (ml/kernels.hpp): four-lane vectors are one AVX2
+/// register where the host has it, two SSE2 halves otherwise, with the same
+/// bits either way.
 void gemm_nt(std::size_t n, std::size_t m, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb,
              const double* bias, double* c, std::size_t ldc);

@@ -194,8 +194,10 @@ void write_file_atomic(const std::string& path, std::string_view contents) {
                       "rename failed: " + path + ": " + std::strerror(errno));
   // The rename lives in the directory entry: without this fsync a power
   // loss can bring back the old file.
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  // (Built as one initializer: GCC 12 flags `dir = "."` with a false
+  // -Wrestrict in Release.)
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? std::string(".") : parent.string();
   const ScopedFd dir_fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
   FORUMCAST_CHECK_MSG(dir_fd.get() >= 0, "cannot open directory " + dir +
                                              ": " + std::strerror(errno));

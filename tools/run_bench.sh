@@ -17,8 +17,11 @@
 #
 # BENCH numbers from unoptimized builds are meaningless and, once committed,
 # poison every future comparison — the script refuses to run unless the
-# build directory was configured with CMAKE_BUILD_TYPE=Release and
-# FORUMCAST_NATIVE=ON.
+# build directory was configured with CMAKE_BUILD_TYPE=Release. Native
+# (FORUMCAST_NATIVE=ON) and portable trees both qualify, but their numbers
+# differ by up to 2x, so every report's context carries forumcast_native
+# (1 or 0) and a portable tree writes BENCH_<name>_portable.json instead of
+# BENCH_<name>.json.
 #
 # Usage: tools/run_bench.sh [--build-dir DIR] [--out-dir DIR]
 # Env:   BENCH_MIN_SPEEDUP  minimum batch/scalar items_per_second ratio.
@@ -108,33 +111,36 @@ threshold NET_MIN_RPS BENCH_NET_MIN_RPS "" 50000
 threshold REPLICA_MIN_EPS BENCH_REPLICA_MIN_EPS "" 2000
 threshold CENTRALITY_MIN_SPEEDUP BENCH_CENTRALITY_MIN_SPEEDUP "" 10.0
 
-# Refuse to emit BENCH files from an unoptimized build: a Debug or
-# non-native binary runs the same code an order of magnitude slower, and a
-# committed baseline measured that way would flag every healthy Release run
-# as a regression (or mask a real one).
+# Refuse to emit BENCH files from an unoptimized build: a Debug binary runs
+# the same code an order of magnitude slower, and a committed baseline
+# measured that way would flag every healthy Release run as a regression (or
+# mask a real one).
 CACHE="$BUILD_DIR/CMakeCache.txt"
 if [[ ! -f "$CACHE" ]]; then
   echo "error: $CACHE not found — is '$BUILD_DIR' a configured build tree?" >&2
   exit 2
 fi
 BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$CACHE")
-NATIVE=$(sed -n 's/^FORUMCAST_NATIVE:[^=]*=//p' "$CACHE")
-if [[ "$BUILD_TYPE" != "Release" || ( "$NATIVE" != "ON" && "$NATIVE" != "TRUE" && "$NATIVE" != "1" ) ]]; then
+NATIVE_OPTION=$(sed -n 's/^FORUMCAST_NATIVE:[^=]*=//p' "$CACHE")
+if [[ "$BUILD_TYPE" != "Release" ]]; then
   echo "error: refusing to write BENCH files from this build tree:" >&2
-  [[ "$BUILD_TYPE" == "Release" ]] || \
-    echo "  CMAKE_BUILD_TYPE='$BUILD_TYPE' (need Release)" >&2
-  [[ "$NATIVE" == "ON" || "$NATIVE" == "TRUE" || "$NATIVE" == "1" ]] || \
-    echo "  FORUMCAST_NATIVE='$NATIVE' (need ON)" >&2
+  echo "  CMAKE_BUILD_TYPE='$BUILD_TYPE' (need Release)" >&2
   echo "configure with:" >&2
-  echo "  cmake -B '$BUILD_DIR' -S . -DCMAKE_BUILD_TYPE=Release -DFORUMCAST_NATIVE=ON" >&2
+  echo "  cmake -B '$BUILD_DIR' -S . -DCMAKE_BUILD_TYPE=Release [-DFORUMCAST_NATIVE=ON]" >&2
   exit 2
 fi
+case "${NATIVE_OPTION^^}" in
+  ON|TRUE|1|YES|Y) NATIVE=1; SUFFIX="" ;;
+  *) NATIVE=0; SUFFIX="_portable" ;;
+esac
+echo "== Release tree, forumcast_native=$NATIVE: reports go to" \
+     "$OUT_DIR/BENCH_<name>$SUFFIX.json"
 
-# Stamp the (already verified) repo build type into every report's context.
-# google-benchmark's own "library_build_type" field describes how the
-# *benchmark library* was compiled — distro packages ship it debug-built even
-# when the repo binaries are Release/native — so the baseline sanity check
-# below keys on this injected field instead.
+# Stamp the (already verified) repo build type and the native flag into every
+# report's context. google-benchmark's own "library_build_type" field
+# describes how the *benchmark library* was compiled — distro packages ship
+# it debug-built even when the repo binaries are Release/native — so the
+# baseline sanity check below keys on these injected fields instead.
 BENCH_CONTEXT=(
   "--benchmark_context=forumcast_build_type=$BUILD_TYPE"
   "--benchmark_context=forumcast_native=$NATIVE"
@@ -162,13 +168,13 @@ for row in "${BENCHES[@]}"; do
     echo "error: $BUILD_DIR/bench/$name not built (configure with default options first)" >&2
     exit 2
   fi
-  REPORTS+=("$OUT_DIR/BENCH_$name.json")
+  REPORTS+=("$OUT_DIR/BENCH_$name$SUFFIX.json")
 done
 mkdir -p "$OUT_DIR"
 
 for row in "${BENCHES[@]}"; do
   read -r name extra <<< "$row"
-  json="$OUT_DIR/BENCH_$name.json"
+  json="$OUT_DIR/BENCH_$name$SUFFIX.json"
   echo "== bench/$name -> $json"
   # $extra is deliberately unquoted: zero or more whitespace-separated flags.
   "$BUILD_DIR/bench/$name" --benchmark_out="$json" --benchmark_out_format=json \
@@ -177,35 +183,40 @@ done
 
 # Belt-and-braces against stale or hand-carried baselines: even though the
 # build-tree check above gates on the CMake cache, also reject any produced
-# JSON whose embedded context does not carry the Release stamp injected via
-# BENCH_CONTEXT above. A baseline missing the stamp was produced by some
-# other path than this script (or predates the stamp — BENCH_micro.json once
-# shipped from an unverified tree); one stamped debug would mean the
+# JSON whose embedded context does not carry the Release and native stamps
+# injected via BENCH_CONTEXT above. A baseline missing a stamp was produced
+# by some other path than this script (or predates the stamp — BENCH_micro.json
+# once shipped from an unverified tree); one stamped debug would mean the
 # build-tree gate was bypassed. Note: google-benchmark's own
 # "library_build_type" context field is NOT checked — it reports how the
 # benchmark *library* was compiled, and distro packages ship it debug-built
 # even under Release/native repo binaries.
 echo "== baseline sanity: no debug-build contexts"
-python3 - "${REPORTS[@]}" <<'PY'
+python3 - "$NATIVE" "${REPORTS[@]}" <<'PY'
 import json
 import sys
 
+native, paths = sys.argv[1], sys.argv[2:]
 bad = []
-for path in sys.argv[1:]:
+for path in paths:
     with open(path) as fh:
         context = json.load(fh).get("context", {})
     build = str(context.get("forumcast_build_type", "")).lower()
     if build != "release":
         label = build if build else "missing"
         bad.append(f"{path} (forumcast_build_type: {label})")
+    stamp = str(context.get("forumcast_native", "missing"))
+    if stamp != native:
+        bad.append(f"{path} (forumcast_native: {stamp}, expected {native})")
 if bad:
-    sys.exit("refusing non-Release bench baselines (rebuild Release/native "
-             "and re-run via tools/run_bench.sh): " + ", ".join(bad))
-print(f"{len(sys.argv) - 1} bench reports carry Release build contexts")
+    sys.exit("refusing mis-stamped bench baselines (rebuild Release and "
+             "re-run via tools/run_bench.sh): " + ", ".join(bad))
+print(f"{len(paths)} bench reports carry Release build contexts "
+      f"(forumcast_native={native})")
 PY
 
 echo "== model bundle: save/load latency and size"
-python3 - "$OUT_DIR/BENCH_artifact.json" <<'PY'
+python3 - "$OUT_DIR/BENCH_artifact$SUFFIX.json" <<'PY'
 import json
 import sys
 
@@ -229,7 +240,7 @@ for name in ("BM_BundleSave", "BM_BundleLoad"):
 PY
 
 echo "== streaming ingestion: events/sec"
-python3 - "$OUT_DIR/BENCH_stream.json" <<'PY'
+python3 - "$OUT_DIR/BENCH_stream$SUFFIX.json" <<'PY'
 import json
 import sys
 
@@ -250,7 +261,7 @@ for name, rate in sorted(rates.items()):
 PY
 
 echo "== regression guard: batch vs scalar pairs/sec at 256 candidates (+ timing head report)"
-python3 - "$OUT_DIR/BENCH_serve.json" "$MIN_SPEEDUP" <<'PY'
+python3 - "$OUT_DIR/BENCH_serve$SUFFIX.json" "$MIN_SPEEDUP" <<'PY'
 import json
 import sys
 
@@ -284,7 +295,7 @@ if speedup < min_speedup:
 PY
 
 echo "== regression guard: monitoring overhead on ingest+score throughput"
-python3 - "$OUT_DIR/BENCH_monitor.json" "$MONITOR_MIN_RATIO" <<'PY'
+python3 - "$OUT_DIR/BENCH_monitor$SUFFIX.json" "$MONITOR_MIN_RATIO" <<'PY'
 import json
 import sys
 
@@ -322,7 +333,7 @@ if ratio < min_ratio:
 PY
 
 echo "== regression guard: batched vs per-sample timing-net training step"
-python3 - "$OUT_DIR/BENCH_fit.json" "$FIT_MIN_SPEEDUP" <<'PY'
+python3 - "$OUT_DIR/BENCH_fit$SUFFIX.json" "$FIT_MIN_SPEEDUP" <<'PY'
 import json
 import sys
 
@@ -363,7 +374,7 @@ if speedup < min_speedup:
              f"{speedup:.2f}x below required {min_speedup:.2f}x")
 PY
 echo "== wire serving: requests/sec and latency quantiles by concurrency"
-python3 - "$OUT_DIR/BENCH_net.json" "${NET_MIN_RPS:-}" <<'PY'
+python3 - "$OUT_DIR/BENCH_net$SUFFIX.json" "${NET_MIN_RPS:-}" <<'PY'
 import json
 import sys
 
@@ -411,7 +422,7 @@ else:
     print(f"wire-serving guard passed: {guard:,.0f} >= {min_rps:,.0f} req/sec")
 PY
 echo "== replication tier: ring lookups, primary ingest, follower apply"
-python3 - "$OUT_DIR/BENCH_replica.json" "${REPLICA_MIN_EPS:-}" <<'PY'
+python3 - "$OUT_DIR/BENCH_replica$SUFFIX.json" "${REPLICA_MIN_EPS:-}" <<'PY'
 import json
 import sys
 
@@ -448,7 +459,7 @@ else:
           f"{min_eps:,.0f} events/sec")
 PY
 echo "== centrality: exact vs sampled betweenness at 2048 nodes"
-python3 - "$OUT_DIR/BENCH_centrality.json" "${CENTRALITY_MIN_SPEEDUP:-}" <<'PY'
+python3 - "$OUT_DIR/BENCH_centrality$SUFFIX.json" "${CENTRALITY_MIN_SPEEDUP:-}" <<'PY'
 import json
 import sys
 
@@ -486,7 +497,7 @@ else:
     print(f"centrality guard passed: {speedup:.2f}x >= {min_speedup:.2f}x")
 PY
 echo "== ml substrate: fp64 vote forward + workspace arena (report only)"
-python3 - "$OUT_DIR/BENCH_ml.json" <<'PY'
+python3 - "$OUT_DIR/BENCH_ml$SUFFIX.json" <<'PY'
 import json
 import sys
 

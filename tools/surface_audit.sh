@@ -36,8 +36,8 @@ build_dir=$(cd "$build_dir" && pwd)
 jobs=$(nproc)
 keep_file="$root/tools/surface_keep.txt"
 
-# -Wno-psabi: at -O0 the AVX helpers of ml/matrix.cpp stay out of line, and
-# GCC notes the vector-argument ABI on every one of them.
+# -Wno-psabi: at -O0 GCC notes the vector-argument ABI of the GNU-vector
+# kernel helpers in ml/kernels.cpp.
 configure() {  # configure <source dir> <build dir>
   cmake -S "$1" -B "$2" -G "Unix Makefiles" \
     -DCMAKE_BUILD_TYPE=None \
