@@ -25,11 +25,7 @@ double softplus(double x) {
 void activate_in_place(Activation act, double* values, std::size_t n) {
   switch (act) {
     case Activation::Identity: return;
-    case Activation::ReLU:
-      for (std::size_t i = 0; i < n; ++i) {
-        values[i] = values[i] > 0.0 ? values[i] : 0.0;
-      }
-      return;
+    case Activation::ReLU: kernels().relu_in_place(values, n); return;
     case Activation::Tanh: kernels().tanh_in_place(values, n); return;
     case Activation::Sigmoid:
       for (std::size_t i = 0; i < n; ++i) values[i] = sigmoid(values[i]);

@@ -9,11 +9,13 @@ namespace forumcast::ml {
 enum class Activation { Identity, ReLU, Tanh, Sigmoid, Softplus };
 
 /// Applies the activation to values[0, n) in place, switching on `act` once
-/// for the whole span. Tanh runs four lanes at a time (in the process's
-/// kernel set, ml/kernels.hpp) through the same arithmetic as ml::tanh, so
-/// every element equals the scalar call bit for bit; ReLU is an inline max loop and Identity does nothing. Every network
-/// forward (batched, scalar and the training tapes) goes through here, so
-/// fit and serve, scalar and batch share one tanh.
+/// for the whole span. Tanh and ReLU run in the process's kernel set
+/// (ml/kernels.hpp): tanh four lanes at a time through the same arithmetic
+/// as ml::tanh, so every element equals the scalar call bit for bit; ReLU
+/// as a branch-free lane mask equal to `v > 0.0 ? v : 0.0` bit for bit.
+/// Identity does nothing. Every network forward (batched, scalar and the
+/// training tapes) goes through here, so fit and serve, scalar and batch
+/// share one tanh and one ReLU.
 void activate_in_place(Activation act, double* values, std::size_t n);
 
 /// The library's one hyperbolic tangent: tanh(x) = sign(x)·e/(e + 2) with

@@ -215,9 +215,19 @@ struct Lanes<1> {
   using U = std::uint64_t __attribute__((vector_size(8)));
 };
 template <>
+struct Lanes<2> {
+  using F = double __attribute__((vector_size(16)));
+  using U = std::uint64_t __attribute__((vector_size(16)));
+};
+template <>
 struct Lanes<4> {
   using F = double __attribute__((vector_size(32)));
   using U = std::uint64_t __attribute__((vector_size(32)));
+};
+template <>
+struct Lanes<8> {
+  using F = double __attribute__((vector_size(64)));
+  using U = std::uint64_t __attribute__((vector_size(64)));
 };
 
 /// out = c + a·b per lane, one rounding on FMA hardware (as ml::fmadd).
@@ -321,6 +331,46 @@ FORUMCAST_KERNEL_INLINE void tanh_in_place_body(double* values, std::size_t n) {
   for (; i < n; ++i) tanh_lanes<1>(values + i, values + i);
 }
 
+// ---------- ReLU ----------
+
+// The widest vector the baseline target holds in one register. A wider GNU
+// vector than the target has is lowered lane by lane through memory, which
+// for a compare-and-select costs more than the scalar loop it replaces.
+#if defined(__AVX512F__)
+constexpr std::size_t kBaselineLanes = 8;
+#elif defined(__AVX__)
+constexpr std::size_t kBaselineLanes = 4;
+#else
+constexpr std::size_t kBaselineLanes = 2;
+#endif
+
+/// values[0, N) = relu(values[0, N)). The lane compare `v > 0` is all ones
+/// exactly where the ternary keeps v and all zeros where it gives +0.0
+/// (NaN, ±0, negatives), so masking v's bits with it reproduces
+/// `v > 0.0 ? v : 0.0` bit for bit with no branch.
+template <std::size_t N>
+FORUMCAST_KERNEL_INLINE void relu_lanes(double* values) {
+  using F = typename Lanes<N>::F;
+  using U = typename Lanes<N>::U;
+  F v;
+  std::memcpy(&v, values, sizeof v);
+  const U keep = reinterpret_cast<U>(v > F{});
+  const F result = reinterpret_cast<F>(reinterpret_cast<U>(v) & keep);
+  std::memcpy(values, &result, sizeof result);
+}
+
+template <std::size_t N>
+FORUMCAST_KERNEL_INLINE void relu_in_place_body(double* values, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + N <= n; i += N) relu_lanes<N>(values + i);
+  if (i == n) return;
+  // The tail runs the same lanes over a zero-padded copy.
+  double tail[N] = {};
+  std::memcpy(tail, values + i, (n - i) * sizeof(double));
+  relu_lanes<N>(tail);
+  std::memcpy(values + i, tail, (n - i) * sizeof(double));
+}
+
 // ---------- kernel sets ----------
 
 // Entry<Body>::<isa> is Body inlined into a function compiled for that ISA:
@@ -340,10 +390,12 @@ struct Entry<Body> {
 constexpr KernelSet kCompiledSets[] = {
     {"baseline", &Entry<gemm_nt_body>::baseline, &Entry<gemm_nn_body>::baseline,
      &Entry<gemm_tn_accumulate_body>::baseline,
-     &Entry<tanh_in_place_body>::baseline},
+     &Entry<tanh_in_place_body>::baseline,
+     &Entry<relu_in_place_body<kBaselineLanes>>::baseline},
 #ifdef FORUMCAST_KERNELS_AVX2
     {"avx2", &Entry<gemm_nt_body>::avx2, &Entry<gemm_nn_body>::avx2,
-     &Entry<gemm_tn_accumulate_body>::avx2, &Entry<tanh_in_place_body>::avx2},
+     &Entry<gemm_tn_accumulate_body>::avx2, &Entry<tanh_in_place_body>::avx2,
+     &Entry<relu_in_place_body<4>>::avx2},
 #endif
 };
 

@@ -1,5 +1,5 @@
 // The fp64 kernel sets behind ml::gemm_nt, ml::gemm_nn,
-// ml::gemm_tn_accumulate and activate_in_place's tanh.
+// ml::gemm_tn_accumulate and activate_in_place's tanh and ReLU.
 //
 // Each kernel body is written once and compiled once per instruction set:
 // the baseline the build targets, plus — in builds without FMA (the portable
@@ -29,6 +29,9 @@ struct KernelSet {
                              std::size_t ldb, double* c, std::size_t ldc);
   /// values[0, n) = ml::tanh(values[0, n)), four lanes at a time.
   void (*tanh_in_place)(double* values, std::size_t n);
+  /// values[i] = values[i] > 0.0 ? values[i] : +0.0 for i in [0, n), bit for
+  /// bit (NaN, ±0 and negatives give +0), with no per-element branch.
+  void (*relu_in_place)(double* values, std::size_t n);
 };
 
 /// The kernel sets this build compiled and this host can run, baseline

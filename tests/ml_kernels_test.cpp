@@ -1,7 +1,7 @@
 // Every kernel set the host can run gives the baseline's bits: the fp64
-// GEMMs over odd shapes, padded strides and zero-skips, and the four-lane
-// tanh at every length and offset. The sets come from the same table the
-// public kernels dispatch through.
+// GEMMs over odd shapes, padded strides and zero-skips, the four-lane tanh
+// and the ReLU at every length and offset. The sets come from the same
+// table the public kernels dispatch through.
 #include "ml/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -165,6 +165,47 @@ TEST(KernelSets, TanhBitEqualToBaselineAtEveryLengthAndOffset) {
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(double)), 0)
           << set.name << " x=" << sweep[i];
+    }
+  }
+}
+
+TEST(KernelSets, ReluBitEqualToBaselineAtEveryLengthAndOffset) {
+  using limits = std::numeric_limits<double>;
+  // Special values first, then random signs and magnitudes long enough for
+  // every set's full-width loop to run many steps before its tail.
+  std::vector<double> source = {
+      0.0,      -0.0,     limits::denorm_min(), -limits::denorm_min(),
+      1e-310,   -1e-310,  limits::infinity(),   -limits::infinity(),
+      limits::quiet_NaN(), -limits::quiet_NaN(), limits::max(), -limits::max(),
+      limits::min(), -limits::min(), 1.5, -2.5};
+  util::Rng rng(47);
+  for (int i = 0; i < 1000; ++i) source.push_back(rng.uniform(-3.0, 3.0));
+  const KernelSet& base = kernel_sets().front();
+  // The baseline against the ternary it stands for...
+  {
+    auto got = source;
+    base.relu_in_place(got.data(), got.size());
+    for (std::size_t i = 0; i < source.size(); ++i) {
+      const double want = source[i] > 0.0 ? source[i] : 0.0;
+      ASSERT_EQ(std::memcmp(&want, &got[i], sizeof(double)), 0)
+          << "baseline x=" << source[i];
+    }
+  }
+  // ...and every set against the baseline, lengths 1..13 (and the whole
+  // source) at start offsets 0..3.
+  for (const KernelSet& set : kernel_sets().subspan(1)) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t n = 1; n <= 13; ++n) {
+        auto want = source, got = source;
+        base.relu_in_place(want.data() + offset, n);
+        set.relu_in_place(got.data() + offset, n);
+        ASSERT_TRUE(same_bits(want, got))
+            << set.name << " n=" << n << " offset=" << offset;
+      }
+      auto want = source, got = source;
+      base.relu_in_place(want.data() + offset, source.size() - offset);
+      set.relu_in_place(got.data() + offset, source.size() - offset);
+      ASSERT_TRUE(same_bits(want, got)) << set.name << " offset=" << offset;
     }
   }
 }

@@ -128,8 +128,9 @@ TEST(Activations, TanhWithin1e15OfLongDouble) {
 }
 
 // activate_in_place is the scalar function element for element, bit for
-// bit: the four-lane tanh body and its scalar tail included, from every
-// start offset and at every length through three full vectors plus a tail.
+// bit: the lane bodies and their tails included, from every start offset
+// and at every length through three full vectors plus a tail, on special
+// values, and over a long sweep.
 TEST(Activations, InPlaceBitEqualToScalarAtEveryLength) {
   const auto scalar = [](Activation act, double x) {
     switch (act) {
@@ -141,16 +142,42 @@ TEST(Activations, InPlaceBitEqualToScalarAtEveryLength) {
     }
     return x;
   };
+  using limits = std::numeric_limits<double>;
   util::Rng rng(41);
   std::vector<double> source(20);
   for (double& v : source) v = rng.uniform(-6.0, 6.0);
+  // Special values inside the first 16, which lengths 1..13 at offsets 0..3
+  // reach: ReLU must give +0.0 for ±0, NaN and negative subnormals.
+  source[1] = 0.0;
   source[2] = -0.0;
+  source[3] = -limits::denorm_min();
+  source[4] = limits::infinity();
   source[5] = 23.0;
-  source[11] = std::numeric_limits<double>::quiet_NaN();
+  source[6] = -limits::infinity();
+  source[8] = limits::max();
+  source[9] = -limits::max();
+  source[11] = limits::quiet_NaN();
+  source[12] = -1e-310;
   source[13] = 1e-310;
+  source[14] = -limits::quiet_NaN();
+  // A contracted or reordered multiply-add moves tanh's final rounding only
+  // rarely, so telling the four-lane form from the scalar one takes many
+  // points: 2^16 signed magnitudes log-spaced over [1e-8, 25].
+  std::vector<double> sweep(1 << 16);
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const double t = static_cast<double>(i) / static_cast<double>(sweep.size());
+    sweep[i] = (i % 2 ? -1.0 : 1.0) * 1e-8 * std::pow(25e8, t);
+  }
   for (Activation act :
        {Activation::Identity, Activation::ReLU, Activation::Tanh,
         Activation::Sigmoid, Activation::Softplus}) {
+    std::vector<double> swept = sweep;
+    activate_in_place(act, swept.data(), swept.size());
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(swept[i]),
+                std::bit_cast<std::uint64_t>(scalar(act, sweep[i])))
+          << activation_name(act) << " x=" << sweep[i];
+    }
     for (std::size_t offset = 0; offset < 4; ++offset) {
       for (std::size_t n = 1; n <= 13; ++n) {
         std::vector<double> values(source.begin() + offset,
