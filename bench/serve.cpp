@@ -117,6 +117,12 @@ void BM_ScalarScore(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarScore)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
+// BatchScorer::score runs its 256-row blocks one after another on the
+// calling thread, so every size here measures one thread; serving spreads
+// requests across cores with one batcher worker each. The guarded /256 case
+// was always a single block. /1024 (four blocks) used to fork them onto the
+// util::parallel_for pool and read 3.2–4.0 M pairs/s; on one thread it reads
+// 1.46–1.49 M (Release portable, 4 vCPU).
 void BM_BatchScore(benchmark::State& state) {
   auto& fixture = ServeFixture::instance();
   const auto users = candidate_slice(fixture, static_cast<std::size_t>(state.range(0)));

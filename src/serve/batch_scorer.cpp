@@ -10,7 +10,6 @@
 #include "obs/monitor/monitor.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace forumcast::serve {
 
@@ -80,43 +79,40 @@ std::vector<core::Prediction> BatchScorer::score(
   table = cache_.user_table();
   lock.unlock();
 
-  // Scoring phase, lock-free: assemble each row block and run all three
-  // predictors on it. Blocks are independent, so they shard cleanly.
+  // Scoring phase, lock-free, on the calling thread: assemble each row block
+  // and run all three predictors on it. Serving parallelism is one level —
+  // the callers (the batcher's per-core workers) — so a request never waits
+  // on helper threads that other requests keep busy.
   const double open_duration = pipeline->question_open_duration(question);
   const std::size_t dim = pipeline->extractor().dimension();
   const std::size_t block_rows = config_.block_rows;
   const std::size_t num_blocks = (users.size() + block_rows - 1) / block_rows;
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t b) {
-        const std::size_t begin = b * block_rows;
-        const std::size_t end = std::min(users.size(), begin + block_rows);
-        const std::size_t rows = end - begin;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    const std::size_t begin = b * block_rows;
+    const std::size_t end = std::min(users.size(), begin + block_rows);
+    const std::size_t rows = end - begin;
 
-        // Scratch lives in the worker thread's workspace arena — reused
-        // across blocks and score() calls once the arena hits its
-        // high-water mark. assemble writes every element of its row and
-        // the predictors fill every output slot, so the unspecified arena
-        // contents are never read.
-        ml::Workspace::Frame frame;
-        ml::Workspace& ws = frame.workspace();
-        ml::Tensor<double> x = ws.tensor<double>(rows, dim);
-        for (std::size_t r = 0; r < rows; ++r) {
-          table->assemble(users[begin + r], *block, x.row(r));
-        }
+    // Scratch lives in the thread's workspace arena — reused across blocks
+    // and score() calls once the arena hits its high-water mark. assemble
+    // writes every element of its row and the predictors fill every output
+    // slot, so the unspecified arena contents are never read.
+    ml::Workspace::Frame frame;
+    ml::Workspace& ws = frame.workspace();
+    ml::Tensor<double> x = ws.tensor<double>(rows, dim);
+    for (std::size_t r = 0; r < rows; ++r) {
+      table->assemble(users[begin + r], *block, x.row(r));
+    }
 
-        std::span<double> answer{ws.alloc<double>(rows), rows};
-        std::span<double> votes{ws.alloc<double>(rows), rows};
-        std::span<double> delay{ws.alloc<double>(rows), rows};
-        pipeline->answer_predictor().predict_probability_batch(x, answer);
-        pipeline->vote_predictor().predict_batch(x, votes);
-        pipeline->timing_predictor().predict_delay_batch(x, open_duration,
-                                                         delay);
-        for (std::size_t r = 0; r < rows; ++r) {
-          predictions[begin + r] = {answer[r], votes[r], delay[r]};
-        }
-      },
-      config_.threads);
+    std::span<double> answer{ws.alloc<double>(rows), rows};
+    std::span<double> votes{ws.alloc<double>(rows), rows};
+    std::span<double> delay{ws.alloc<double>(rows), rows};
+    pipeline->answer_predictor().predict_probability_batch(x, answer);
+    pipeline->vote_predictor().predict_batch(x, votes);
+    pipeline->timing_predictor().predict_delay_batch(x, open_duration, delay);
+    for (std::size_t r = 0; r < rows; ++r) {
+      predictions[begin + r] = {answer[r], votes[r], delay[r]};
+    }
+  }
 
   FORUMCAST_COUNTER_ADD("serve.pairs_scored", users.size());
   FORUMCAST_COUNTER_ADD("serve.batches", 1);

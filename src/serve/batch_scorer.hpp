@@ -4,18 +4,20 @@
 // from scratch and runs each predictor's batch entry on a batch of one.
 // BatchScorer instead assembles the N × (18 + 2K) feature matrix from a
 // FeatureCache and pushes whole row blocks through the same batch entries —
-// the MLP forwards become blocked GEMMs (ml::gemm_nt) — sharded across
-// util::parallel_for. Scores are bit-identical to the per-pair path; it is
-// purely an execution-layout change.
+// the MLP forwards become blocked GEMMs (ml::gemm_nt) — one block after
+// another on the calling thread. Scores are bit-identical to the per-pair
+// path; it is purely an execution-layout change.
 //
-// Thread safety: concurrent score() calls are safe and scale with cores.
-// One short mutex section snapshots the served model, the cache's immutable
-// user table and the question block; row assembly and the three forwards
-// then run with no lock held. A missing question block is built outside
-// the lock too and published only if no swap or invalidation landed during
-// the build (otherwise the call starts over). The only contract (shared
-// with ForecastPipeline::predict) is that fit() must not run concurrently
-// with score().
+// Thread safety: concurrent score() calls are safe and run side by side;
+// serving parallelism comes from the callers (net::MicroBatcher runs one
+// worker per core), never from inside one call. One short mutex section
+// snapshots the served model, the cache's immutable user table and the
+// question block; row assembly and the three forwards then run with no lock
+// held. A missing question block is built outside the lock too and
+// published only if no swap or invalidation landed during the build
+// (otherwise the call starts over). The only contract (shared with
+// ForecastPipeline::predict) is that fit() must not run concurrently with
+// score().
 #pragma once
 
 #include <cstddef>
@@ -35,12 +37,9 @@ class QualityMonitor;
 namespace forumcast::serve {
 
 struct BatchScorerConfig {
-  /// Rows per assembled feature block: the GEMM tile height and the
-  /// parallel_for work unit. Sized so a block's activations stay cache
-  /// resident (256 × 34 doubles ≈ 68 KB).
+  /// Rows per assembled feature block: the GEMM tile height. Sized so a
+  /// block's activations stay cache resident (256 × 34 doubles ≈ 68 KB).
   std::size_t block_rows = 256;
-  /// Worker threads for block sharding; 0 = util::default_thread_count().
-  std::size_t threads = 0;
   /// Question blocks kept warm in the FeatureCache.
   std::size_t max_cached_questions = 64;
 };

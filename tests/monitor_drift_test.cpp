@@ -130,10 +130,10 @@ TEST(ScoreReservoir, AucNeedsBothClasses) {
 #if FORUMCAST_OBS_ENABLED
 
 // End-to-end determinism: the same traffic scored through BatchScorers with
-// different internal thread counts must leave bit-identical reservoirs —
-// predictions are thread-count invariant (serve parity tests) and reservoir
-// insertion order is the record_batch call order, not a thread schedule.
-TEST(QualityMonitor, ReservoirBitDeterministicAcrossScorerThreadCounts) {
+// different row-block heights must leave bit-identical reservoirs —
+// predictions do not depend on how a call splits its rows (serve parity
+// tests) and reservoir insertion order is the record_batch call order.
+TEST(QualityMonitor, ReservoirBitDeterministicAcrossScorerBlockSizes) {
   forum::GeneratorConfig generator;
   generator.num_users = 120;
   generator.num_questions = 100;
@@ -157,11 +157,11 @@ TEST(QualityMonitor, ReservoirBitDeterministicAcrossScorerThreadCounts) {
 
   std::uint64_t reference_digest = 0;
   bool have_reference = false;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  // One row per block, several blocks per call, and one block per call.
+  for (const std::size_t block_rows : {1u, 16u, 256u}) {
     QualityMonitor monitor;  // fixed default seed
     serve::BatchScorerConfig scorer_config;
-    scorer_config.threads = threads;
-    scorer_config.block_rows = 16;  // force multiple blocks even at 1 thread
+    scorer_config.block_rows = block_rows;
     serve::BatchScorer scorer(pipeline, scorer_config);
     scorer.set_monitor(&monitor);
 
@@ -181,7 +181,7 @@ TEST(QualityMonitor, ReservoirBitDeterministicAcrossScorerThreadCounts) {
       EXPECT_NE(reference_digest, 0u);
     } else {
       EXPECT_EQ(monitor.auc_reservoir_digest(), reference_digest)
-          << "threads=" << threads;
+          << "block_rows=" << block_rows;
     }
   }
 }
