@@ -13,16 +13,32 @@
 namespace forumcast::artifact {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: tables[0] is the bytewise table of the reflected
+// IEEE polynomial, and tables[k][b] is the CRC of byte b followed by k zero
+// bytes, so one step folds eight input bytes with eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 void append_raw(std::string& buffer, const void* data, std::size_t size) {
@@ -32,11 +48,19 @@ void append_raw(std::string& buffer, const void* data, std::size_t size) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables tables = make_crc_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t crc = 0xffffffffu;
-  for (unsigned char byte : data) {
-    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xffu];
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^
+          tables[5][(lo >> 16) & 0xffu] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xffu] ^ tables[2][(hi >> 8) & 0xffu] ^
+          tables[1][(hi >> 16) & 0xffu] ^ tables[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ tables[0][(crc ^ *p) & 0xffu];
   return crc ^ 0xffffffffu;
 }
 
