@@ -260,14 +260,17 @@ for name, rate in sorted(rates.items()):
         sys.exit(f"bench regression: {name} reported no throughput")
 PY
 
-echo "== regression guard: batch vs scalar pairs/sec at 256 candidates (+ timing head report)"
-python3 - "$OUT_DIR/BENCH_serve$SUFFIX.json" "$MIN_SPEEDUP" <<'PY'
+echo "== regression guard: batch vs scalar pairs/sec at 256 candidates (+ timing head and vote forward report)"
+python3 - "$OUT_DIR/BENCH_serve$SUFFIX.json" "$MIN_SPEEDUP" \
+  "$OUT_DIR/BENCH_ml$SUFFIX.json" <<'PY'
 import json
 import sys
 
-path, min_speedup = sys.argv[1], float(sys.argv[2])
+path, min_speedup, ml_path = sys.argv[1], float(sys.argv[2]), sys.argv[3]
 with open(path) as fh:
     report = json.load(fh)
+with open(ml_path) as fh:
+    ml_report = json.load(fh)
 
 rates = {}
 for bench in report["benchmarks"]:
@@ -288,6 +291,14 @@ print(f"batch:  {batch:,.0f} pairs/sec")
 for name, rate in sorted(rates.items()):
     if name.startswith("BM_TimingDelayBatch/"):
         print(f"timing head {name.split('/', 1)[1]}: {rate:,.0f} rows/sec")
+# The vote network alone (eq. (1): three 20-unit ReLU layers and a linear
+# output) on a 256-row block, from BENCH_ml: also a report, never gated.
+vote = [bench.get("items_per_second", 0.0) for bench in ml_report["benchmarks"]
+        if bench["name"] == "BM_VoteForwardFp64/256"
+        and bench.get("run_type") != "aggregate"]
+if not vote:
+    sys.exit(f"missing BM_VoteForwardFp64/256 in {ml_path}")
+print(f"vote forward 256: {vote[0]:,.0f} rows/sec")
 print(f"speedup: {speedup:.2f}x (required >= {min_speedup:.2f}x)")
 if speedup < min_speedup:
     sys.exit(f"bench regression: batch/scalar speedup {speedup:.2f}x "
